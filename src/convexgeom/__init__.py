@@ -9,7 +9,6 @@ from .bodies import (
     Ellipsoid,
     LqBall,
     Polytope,
-    Simplex,
     polar,
     linear_image,
     sample_uniform,

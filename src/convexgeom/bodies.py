@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import rng as rngmod
-from .estimate import CLOSED_FORM, Estimate, from_samples, quad_estimate
+from .estimate import CLOSED_FORM, Estimate, from_samples, mc_draws, quad_estimate
 from .sphere import SphereRule, sphere_rule
 
 __all__ = [
@@ -25,11 +25,9 @@ __all__ = [
     "Ball",
     "Ellipsoid",
     "Cube",
-    "Simplex",
     "LqBall",
     "Polytope",
     "LinearImage",
-    "Translate",
     "Polar",
     "NumericSupport",
     "SupportOracle",
@@ -88,9 +86,6 @@ class ConvexBody:
 
     def polar(self) -> "ConvexBody":
         return Polar(self)
-
-    def translate(self, v) -> "ConvexBody":
-        return Translate(np.asarray(v, dtype=float), self)
 
     def linear_image(self, A) -> "ConvexBody":
         return linear_image(self, A)
@@ -321,18 +316,13 @@ class Polytope(ConvexBody):
         return f"Polytope({len(self.vertices)} vertices, n={self.dim})"
 
 
-class Simplex(Polytope):
-    def __init__(self, vertices):
-        super().__init__(vertices)
-
-
-def standard_simplex(dim: int, centered: bool = False) -> Simplex:
+def standard_simplex(dim: int, centered: bool = False) -> Polytope:
     """Simplex conv(0, e_1, ..., e_n); optionally recentered at its centroid
     so the origin is interior (needed by gauge-based operations)."""
     V = np.vstack([np.zeros(dim), np.eye(dim)])
     if centered:
         V = V - V.mean(axis=0)
-    return Simplex(V)
+    return Polytope(V)
 
 
 class LinearImage(ConvexBody):
@@ -360,49 +350,6 @@ class LinearImage(ConvexBody):
 
     def __repr__(self):
         return f"LinearImage({self.base!r})"
-
-
-class Translate(ConvexBody):
-    def __init__(self, v, base: ConvexBody):
-        self.v = np.asarray(v, dtype=float)
-        self.base = base
-        self.dim = base.dim
-        if base.gauge(-self.v)[0] >= 1.0:
-            raise ValueError("translate pushes the origin out of the body")
-        self.bounding_radius = base.bounding_radius + float(np.linalg.norm(v))
-
-    def support(self, xi):
-        xi = _rows(xi)
-        return self.base.support(xi) + xi @ self.v
-
-    def gauge(self, x):
-        # solve gauge_base(x - t v) = t for each row; the function
-        # t -> gauge_base(x - t v) - t is convex and eventually negative,
-        # so bisection on [0, hi] is safe.
-        x = _rows(x)
-        m = x.shape[0]
-        lo = np.zeros(m)
-        hi = np.full(m, 1.0)
-        f = lambda t: self.base.gauge(x - t[:, None] * self.v) - t
-        for _ in range(100):
-            bad = f(hi) > 0
-            if not bad.any():
-                break
-            hi[bad] *= 2.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            pos = f(mid) > 0
-            lo = np.where(pos, mid, lo)
-            hi = np.where(pos, hi, mid)
-        out = 0.5 * (lo + hi)
-        zero = np.linalg.norm(x, axis=1) == 0
-        return np.where(zero, 0.0, out)
-
-    def volume_exact(self):
-        return self.base.volume_exact()
-
-    def __repr__(self):
-        return f"Translate({self.base!r})"
 
 
 class Polar(ConvexBody):
@@ -434,8 +381,7 @@ class NumericSupport(ConvexBody):
 
     Queries interpolate: piecewise linear in angle for n=2, spherical
     barycentric over a Delaunay triangulation of the nodes for n=3.
-    Convexity of the interpolant is not enforced; use
-    :meth:`subadditivity_violations` to audit.
+    Convexity of the interpolant is not enforced.
     """
 
     def __init__(self, rule: SphereRule, values, node_stderr=None):
@@ -460,10 +406,6 @@ class NumericSupport(ConvexBody):
             self._hull = ConvexHull(rule.nodes)
         else:
             raise ValueError("NumericSupport supports n in {2, 3}")
-
-    @property
-    def worst_node_stderr(self) -> float:
-        return float(np.max(self.node_stderr))
 
     def support(self, xi):
         xi = _rows(xi)
@@ -539,16 +481,6 @@ class NumericSupport(ConvexBody):
         err = float(np.sum(np.abs(grad) * self.node_stderr))
         method = "monte-carlo" if err > 0 else "quadrature"
         return Estimate(val, err, len(self.values), method)
-
-    def subadditivity_violations(self, rng: np.random.Generator, probes: int = 1000) -> float:
-        """Fraction of random pairs violating h(a+b) <= h(a) + h(b)."""
-        from .sphere import sample_sphere
-
-        a = sample_sphere(rng, self.dim, probes)
-        b = sample_sphere(rng, self.dim, probes)
-        lhs = self.support(a + b)
-        rhs = self.support(a) + self.support(b)
-        return float(np.mean(lhs > rhs * (1 + 1e-9) + 1e-12))
 
     def __repr__(self):
         return f"NumericSupport(n={self.dim}, nodes={len(self.values)})"
@@ -661,12 +593,11 @@ def volume(
     if method == "monte-carlo":
         gen = rngmod.substream(seed, "volume", repr(body))
         R = body.bounding_radius
-        box_vol = (2 * R) ** body.dim
-        hits = []
-        for size in rngmod.chunked(budget):
-            x = gen.uniform(-R, R, size=(size, body.dim))
-            hits.append(body.contains(x).astype(float))
-        return from_samples(np.concatenate(hits), scale=box_vol)
+
+        def draw(gen, size):
+            return body.contains(gen.uniform(-R, R, size=(size, body.dim))).astype(float)
+
+        return from_samples(mc_draws(gen, budget, draw), scale=(2 * R) ** body.dim)
     raise ValueError(f"unknown method {method!r}")
 
 

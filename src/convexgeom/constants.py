@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.integrate import quad
@@ -209,9 +209,9 @@ def cnv_np(n: int, p: float, tol: float = QUAD_TOL) -> ConstantRecord:
                 "cnv_np", {"n": n, "p": p}, 1.0, "closed-form", "indicator extremal, exact"
             )
         F = sobolev_profile(p, n)
-        dF = sobolev_profiles_deriv_abs(p, n)
+        dF = sobolev_profile_deriv(p, n)
         pstar = n * p / (n - p)
-        grad_int, _ = quad(lambda r: r ** (n - 1) * dF(r) ** p, 0, np.inf, epsabs=tol)
+        grad_int, _ = quad(lambda r: r ** (n - 1) * np.abs(dF(r)) ** p, 0, np.inf, epsabs=tol)
         norm_int, _ = quad(lambda r: r ** (n - 1) * F(r) ** pstar, 0, np.inf, epsabs=tol)
         nw = n * omega_n(n)
         lhs = (1.0 / n) * nw * grad_int
@@ -225,11 +225,6 @@ def cnv_np(n: int, p: float, tol: float = QUAD_TOL) -> ConstantRecord:
         )
 
     return _CACHE.get_or_compute("cnv_np", compute, n=n, p=p)
-
-
-def sobolev_profiles_deriv_abs(p: float, n: int):
-    d = sobolev_profile_deriv(p, n)
-    return lambda t: np.abs(d(t))
 
 
 def sobolev_constant(n: int, p: float) -> ConstantRecord:
@@ -336,17 +331,17 @@ def b_np_dual(
 
     def compute():
         from . import rng as rngmod
-        from .estimate import from_samples
+        from .estimate import from_samples, mc_draws
         from .functionals import det_volume_many
         from .sphere import sample_sphere
 
         gen = rngmod.substream(seed, "b_np_dual", str(n), str(p))
-        vals = []
-        for size in rngmod.chunked(budget):
-            pts = [sample_sphere(gen, n, size) for _ in range(n)]
-            vals.append(det_volume_many(pts) ** p)
+
+        def draw(gen, size):
+            return det_volume_many([sample_sphere(gen, n, size) for _ in range(n)]) ** p
+
         nw = n * omega_n(n)
-        est = from_samples(np.concatenate(vals), scale=nw**n)
+        est = from_samples(mc_draws(gen, budget, draw), scale=nw**n)
         val = est / omega_n(n) ** (n - p)
         return ConstantRecord(
             "b_np_dual",
@@ -444,6 +439,13 @@ def reparam_alpha_to_lambda(alpha: float, n: int, p: float) -> float:
     if alpha == math.inf:
         return math.inf
     return 1.0 + (alpha - 1.0) * (n + 1) * p / (n + p)
+
+
+def reparam_lambda_to_alpha(lam: float, n: int, p: float) -> float:
+    """alpha = 1 + (lam - 1)(n+p) / ((n+1) p), the inverse reparameterization."""
+    if lam == math.inf:
+        return math.inf
+    return 1.0 + (lam - 1.0) * (n + p) / ((n + 1) * p)
 
 
 def cache() -> ConstantCache:

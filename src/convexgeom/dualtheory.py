@@ -16,16 +16,11 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import rng as rngmod
-from .bodies import ConvexBody, NumericSupport
+from .bodies import ConvexBody
 from .constants import QUAD_TOL, omega_n
-from .estimate import Estimate, from_samples, quad_estimate
+from .estimate import Estimate, from_samples, mc_draws, product, quad_estimate
 from .funcspace import CompactFunction, Profile
-from .functionals import (
-    SurfaceMeasure,
-    _det_with_direction,
-    det_volume_many,
-    surface_measure,
-)
+from .functionals import det_volume_many, surface_measure
 from .sphere import SphereRule, sphere_rule
 
 __all__ = [
@@ -36,7 +31,6 @@ __all__ = [
     "omega_p_ellipsoid",
     "I_tilde_p",
     "I_tilde_p_star",
-    "N_tilde_p_body",
     "I_tilde_p_functions",
     "bordered_hessian",
     "bordered_hessian_det",
@@ -166,12 +160,13 @@ def I_tilde_p(
         raise ValueError("need exactly n bodies")
     measures = [surface_measure(L, p) for L in bodies]
     gen = rngmod.substream(seed, "Itilde", str(p), *[repr(b) for b in bodies])
-    vals = []
-    for size in rngmod.chunked(budget):
+
+    def draw(gen, size):
         dirs, weights = zip(*[m.sample(gen, size) for m in measures])
         w = np.prod(weights, axis=0)
-        vals.append(w * det_volume_many(list(dirs)) ** p)
-    return from_samples(np.concatenate(vals))
+        return w * det_volume_many(list(dirs)) ** p
+
+    return from_samples(mc_draws(gen, budget, draw))
 
 
 def I_tilde_p_star(
@@ -185,47 +180,12 @@ def I_tilde_p_star(
     n = bodies[0].dim
     stars = [star_body(L, p) for L in bodies]
     gen = rngmod.substream(seed, "Itilde-star", str(p), *[repr(b) for b in bodies])
-    vals = []
-    for size in rngmod.chunked(budget):
-        pts = [s.sample(gen, size) for s in stars]
-        vals.append(det_volume_many(pts) ** p)
-    mean = from_samples(np.concatenate(vals))
-    prod = Estimate(1.0)
-    for s in stars:
-        prod = prod * s.volume()
-    return mean * prod * (n + p) ** n
 
+    def draw(gen, size):
+        return det_volume_many([s.sample(gen, size) for s in stars]) ** p
 
-def N_tilde_p_body(
-    bodies: list[ConvexBody],
-    p: float,
-    rule: SphereRule | None = None,
-    budget: int = 100_000,
-    seed: int = rngmod.DEFAULT_SEED,
-) -> NumericSupport:
-    """Dual moment body: support^p is the partial dual moment with one
-    free direction, against n-1 surface-area measures."""
-    n = bodies[0].dim
-    if len(bodies) != n - 1:
-        raise ValueError("need n - 1 bodies")
-    rule = rule or sphere_rule(n, 256 if n == 2 else 48)
-    measures = [surface_measure(L, p) for L in bodies]
-    gen = rngmod.substream(seed, "Ntilde", str(p), *[repr(b) for b in bodies])
-    acc = np.zeros(len(rule.nodes))
-    acc2 = np.zeros(len(rule.nodes))
-    total = 0
-    for size in rngmod.chunked(budget):
-        dirs, weights = zip(*[m.sample(gen, size) for m in measures])
-        w = np.prod(weights, axis=0)
-        vals = w[:, None] * _det_with_direction(list(dirs), rule.nodes) ** p
-        acc += vals.sum(axis=0)
-        acc2 += (vals**2).sum(axis=0)
-        total += size
-    mean = acc / total
-    sem = np.sqrt(np.clip(acc2 / total - mean**2, 0, None) / total)
-    h = mean ** (1.0 / p)
-    h_err = np.where(mean > 0, h / p * sem / np.maximum(mean, 1e-300), 0.0)
-    return NumericSupport(rule, h, node_stderr=h_err)
+    mean = from_samples(mc_draws(gen, budget, draw))
+    return mean * product(s.volume() for s in stars) * (n + p) ** n
 
 
 def I_tilde_p_functions(
@@ -252,11 +212,12 @@ def I_tilde_p_functions(
 
     measures = [surface_measure_f(l, p) for l in ls]
     gen = rngmod.substream(seed, "Itilde-f", str(p), *[l.label for l in ls])
-    vals = []
-    for size in rngmod.chunked(budget):
+
+    def draw(gen, size):
         dirs, weights = zip(*[m.sample(gen, size) for m in measures])
-        vals.append(np.prod(weights, axis=0) * det_volume_many(list(dirs)) ** p)
-    return from_samples(np.concatenate(vals))
+        return np.prod(weights, axis=0) * det_volume_many(list(dirs)) ** p
+
+    return from_samples(mc_draws(gen, budget, draw))
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +252,11 @@ def omega_p_function(
     |det K l|^{p/(n+p)} over the support box."""
     n = l.dim
     gen = rngmod.substream(seed, "omega-f", str(p), l.label)
-    vals = []
-    for size in rngmod.chunked(budget):
-        x = l.sample_box(gen, size)
-        vals.append(bordered_hessian_det(l, x) ** (p / (n + p)))
-    return from_samples(np.concatenate(vals), scale=l.box_volume)
+
+    def draw(gen, size):
+        return bordered_hessian_det(l, l.sample_box(gen, size)) ** (p / (n + p))
+
+    return from_samples(mc_draws(gen, budget, draw), scale=l.box_volume)
 
 
 def omega_p_radial(profile: Profile, n: int, p: float) -> float:

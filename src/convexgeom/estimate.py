@@ -5,12 +5,21 @@ together with a standard error, a sample count and a method tag.
 Arithmetic between estimates propagates errors to first order (delta
 method) assuming independence, which is how all downstream acceptance
 gates (3-sigma bands) are computed.
+
+Every Monte-Carlo integral in the package draws its samples through
+:func:`mc_draws` (scalar integrands) or :func:`mc_direction_moments`
+(one integrand per sphere-rule node), so the chunking and reduction
+policy lives here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
+
+from . import rng as rngmod
 
 MONTE_CARLO = "monte-carlo"
 QUADRATURE = "quadrature"
@@ -112,7 +121,12 @@ class Estimate:
 
     def __pow__(self, k: float) -> "Estimate":
         v = self.value**k
-        err = abs(k * self.value ** (k - 1)) * self.stderr if self.value != 0 else 0.0
+        if self.value != 0:
+            err = abs(k * self.value ** (k - 1)) * self.stderr
+        else:
+            # the delta method is degenerate at 0; |X|^k for X within one
+            # stderr of 0 is within stderr^k (exact for k = 1)
+            err = self.stderr**k if k > 0 else 0.0
         return Estimate(v, err, self.samples, self.method)
 
     def __neg__(self) -> "Estimate":
@@ -136,12 +150,47 @@ def quad_estimate(value: float) -> Estimate:
     return Estimate(float(value), 0.0, 0, QUADRATURE)
 
 
+def product(factors) -> Estimate:
+    """Product of estimates, multiplied left to right from 1."""
+    out = Estimate(1.0)
+    for f in factors:
+        out = out * f
+    return out
+
+
 def from_samples(values, scale: float = 1.0) -> Estimate:
     """Monte-Carlo estimate of ``scale * mean(values)``."""
-    import numpy as np
-
     values = np.asarray(values, dtype=float)
     n = values.size
     mean = float(values.mean())
     sem = float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     return Estimate(scale * mean, abs(scale) * sem, n, MONTE_CARLO)
+
+
+def mc_draws(gen: np.random.Generator, budget: int, draw) -> np.ndarray:
+    """Per-sample values of ``draw(gen, size)`` over ``budget`` samples.
+
+    The budget is split into fixed-size chunks drawn in order from the
+    one generator, so peak memory per draw is bounded by the chunk size
+    and the values do not depend on how the caller reduces them.
+    """
+    return np.concatenate([draw(gen, size) for size in rngmod.chunked(budget)])
+
+
+def mc_direction_moments(gen: np.random.Generator, budget: int, draw):
+    """Per-node sample mean, its standard error and the sample count.
+
+    ``draw(gen, size)`` returns a (size, nodes) array: one integrand
+    value per sample and sphere-rule node.  Only the running sums of the
+    values and of their squares are kept, so memory stays at one chunk.
+    """
+    acc = acc2 = 0.0
+    total = 0
+    for size in rngmod.chunked(budget):
+        vals = draw(gen, size)
+        acc = acc + vals.sum(axis=0)
+        acc2 = acc2 + (vals**2).sum(axis=0)
+        total += size
+    mean = acc / total
+    sem = np.sqrt(np.clip(acc2 / total - mean**2, 0.0, None) / total)
+    return mean, sem, total

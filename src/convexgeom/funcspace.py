@@ -26,7 +26,7 @@ from .constants import (
     sobolev_profile,
     sobolev_profile_deriv,
 )
-from .estimate import Estimate, from_samples
+from .estimate import Estimate, from_samples, mc_direction_moments, mc_draws
 from .functionals import SurfaceMeasure, det_volume_many
 from .sphere import SphereRule, sphere_rule
 
@@ -525,10 +525,8 @@ def lp_norm(
         if l.sup is not None:
             return Estimate(float(l.sup))
         gen = rngmod.substream(seed, "supnorm", l.label)
-        best = 0.0
-        for size in rngmod.chunked(budget):
-            best = max(best, float(l(l.sample_box(gen, size)).max()))
-        return Estimate(best, 0.0, 0, "quadrature")
+        best = mc_draws(gen, budget, lambda gen, size: l(l.sample_box(gen, size))).max()
+        return Estimate(float(best), 0.0, 0, "quadrature")
     if lam <= 0:
         raise ValueError("lam must be positive or inf")
     n = l.dim
@@ -537,10 +535,8 @@ def lp_norm(
         sphere = _gauge_sphere_integral(l, lambda u: l.body.gauge(u) ** (-n))
         return Estimate(radial * sphere, 0.0, 0, "quadrature") ** (1.0 / lam)
     gen = rngmod.substream(seed, "lpnorm", str(lam), l.label)
-    vals = []
-    for size in rngmod.chunked(budget):
-        vals.append(l(l.sample_box(gen, size)) ** lam)
-    integral = from_samples(np.concatenate(vals), scale=l.box_volume)
+    vals = mc_draws(gen, budget, lambda gen, size: l(l.sample_box(gen, size)) ** lam)
+    integral = from_samples(vals, scale=l.box_volume)
     return integral ** (1.0 / lam)
 
 
@@ -566,11 +562,12 @@ def dual_mixed_volume_f(
         )
         return Estimate(radial * sphere * (n + p) / n, 0.0, 0, "quadrature")
     gen = rngmod.substream(seed, "dmvf", str(p), f.label, repr(L))
-    vals = []
-    for size in rngmod.chunked(budget):
+
+    def draw(gen, size):
         x = f.sample_box(gen, size)
-        vals.append(f(x) * L.gauge(x) ** p)
-    return from_samples(np.concatenate(vals), scale=f.box_volume) * ((n + p) / n)
+        return f(x) * L.gauge(x) ** p
+
+    return from_samples(mc_draws(gen, budget, draw), scale=f.box_volume) * ((n + p) / n)
 
 
 def mixed_volume_f(
@@ -599,17 +596,16 @@ def mixed_volume_f(
 
         return Estimate(radial * _gauge_sphere_integral(f, integrand) / n, 0.0, 0, "quadrature")
     gen = rngmod.substream(seed, "mvf", str(p), f.label, repr(K))
-    vals = []
-    for size in rngmod.chunked(budget):
-        x = f.sample_box(gen, size)
-        g = -f.grad(x)
-        norms = np.linalg.norm(g, axis=1)
-        ok = norms > 0
+
+    def draw(gen, size):
+        g = -f.grad(f.sample_box(gen, size))
+        ok = np.linalg.norm(g, axis=1) > 0
         h = np.zeros(size)
         if ok.any():
             h[ok] = K.support(g[ok]) ** p
-        vals.append(h)
-    return from_samples(np.concatenate(vals), scale=f.box_volume) * (1.0 / n)
+        return h
+
+    return from_samples(mc_draws(gen, budget, draw), scale=f.box_volume) * (1.0 / n)
 
 
 def surface_measure_f(f: CompactFunction, p: float) -> SurfaceMeasure:
@@ -672,18 +668,20 @@ def I_p_functions(
     gen = rngmod.substream(seed, "I_p_f", str(p), *[l.label for l in ls])
     if all(l.is_radial for l in ls):
         samplers = [_function_sampler(l) for l in ls]
-        vals = []
-        for size in rngmod.chunked(budget):
+
+        def draw(gen, size):
             pts, ws = zip(*[s.sample(gen, size) for s in samplers])
-            vals.append(np.prod(ws, axis=0) * det_volume_many(list(pts)) ** p)
-        return from_samples(np.concatenate(vals))
+            return np.prod(ws, axis=0) * det_volume_many(list(pts)) ** p
+
+        return from_samples(mc_draws(gen, budget, draw))
     scale = float(np.prod([l.box_volume for l in ls]))
-    vals = []
-    for size in rngmod.chunked(budget):
+
+    def draw(gen, size):
         pts = [l.sample_box(gen, size) for l in ls]
         w = np.prod([l(x) for l, x in zip(ls, pts)], axis=0)
-        vals.append(w * det_volume_many(pts) ** p)
-    return from_samples(np.concatenate(vals), scale=scale)
+        return w * det_volume_many(pts) ** p
+
+    return from_samples(mc_draws(gen, budget, draw), scale=scale)
 
 
 def _function_sampler(l: CompactFunction) -> _RadialSampler:
@@ -713,10 +711,8 @@ def N_p_function_body(
     radial = all(l.is_radial for l in ls)
     samplers = [_function_sampler(l) for l in ls] if radial else None
     scale = 1.0 if radial else float(np.prod([l.box_volume for l in ls]))
-    acc = np.zeros(len(rule.nodes))
-    acc2 = np.zeros(len(rule.nodes))
-    total = 0
-    for size in rngmod.chunked(budget):
+
+    def draw(gen, size):
         if radial:
             pts, ws = zip(*[s.sample(gen, size) for s in samplers])
             pts = list(pts)
@@ -724,13 +720,10 @@ def N_p_function_body(
         else:
             pts = [l.sample_box(gen, size) for l in ls]
             w = np.prod([l(x) for l, x in zip(ls, pts)], axis=0)
-        vals = w[:, None] * _det_with_direction(pts, rule.nodes) ** p
-        acc += vals.sum(axis=0)
-        acc2 += (vals**2).sum(axis=0)
-        total += size
-    mean = acc / total * scale
-    var = np.clip(acc2 / total * scale**2 - mean**2, 0.0, None)
-    sem = np.sqrt(var / total)
+        return w[:, None] * _det_with_direction(pts, rule.nodes) ** p
+
+    mean, sem, _ = mc_direction_moments(gen, budget, draw)
+    mean, sem = mean * scale, sem * scale
     h = mean ** (1.0 / p)
     h_err = np.where(mean > 0, h / p * sem / np.maximum(mean, 1e-300), 0.0)
     return NumericSupport(rule, h, node_stderr=h_err)

@@ -25,15 +25,16 @@ from .bodies import (
 )
 from .constants import c_np, omega_n
 from .estimate import (
-    CLOSED_FORM,
     Estimate,
     from_samples,
+    mc_direction_moments,
+    mc_draws,
+    product,
     quad_estimate,
 )
 from .sphere import SphereRule, sphere_rule
 
 __all__ = [
-    "det_volume",
     "det_volume_many",
     "I_p",
     "N_p_body",
@@ -45,22 +46,6 @@ __all__ = [
     "mixed_volume",
     "equivalence_check",
 ]
-
-
-def det_volume(vectors) -> float:
-    """k-dimensional volume of the parallelepiped spanned by k vectors.
-
-    Absolute determinant for k = n, square root of the Gram determinant
-    for k < n.
-    """
-    V = np.asarray(vectors, dtype=float)
-    k, n = V.shape
-    if k > n:
-        raise ValueError("more vectors than dimensions")
-    if k == n:
-        return abs(np.linalg.det(V))
-    g = np.linalg.det(V @ V.T)
-    return float(np.sqrt(max(g, 0.0)))
 
 
 def det_volume_many(point_sets: list[np.ndarray]) -> np.ndarray:
@@ -76,13 +61,6 @@ def det_volume_many(point_sets: list[np.ndarray]) -> np.ndarray:
         return np.abs(np.linalg.det(M))
     G = M @ M.transpose(0, 2, 1)
     return np.sqrt(np.clip(np.linalg.det(G), 0.0, None))
-
-
-def _volumes_product(bodies, budget, seed) -> Estimate:
-    prod = Estimate(1.0)
-    for i, L in enumerate(bodies):
-        prod = prod * volume(L, budget=budget, seed=seed + i)
-    return prod
 
 
 def I_p(
@@ -103,12 +81,12 @@ def I_p(
     if p < 1:
         raise ValueError("p must be at least 1")
     gen = rngmod.substream(seed, "I_p", str(p), *[repr(b) for b in bodies])
-    vals = []
-    for size in rngmod.chunked(budget):
-        pts = [sample_uniform(L, gen, size) for L in bodies]
-        vals.append(det_volume_many(pts) ** p)
-    mean = from_samples(np.concatenate(vals))
-    return mean * _volumes_product(bodies, budget, seed)
+
+    def draw(gen, size):
+        return det_volume_many([sample_uniform(L, gen, size) for L in bodies]) ** p
+
+    mean = from_samples(mc_draws(gen, budget, draw))
+    return mean * product(volume(L, budget=budget, seed=seed + i) for i, L in enumerate(bodies))
 
 
 def N_p_body(
@@ -130,19 +108,13 @@ def N_p_body(
         raise ValueError("need n - 1 bodies")
     rule = rule or sphere_rule(n, 256 if n == 2 else 48)
     gen = rngmod.substream(seed, "N_p", str(p), *[repr(b) for b in bodies])
-    acc = np.zeros(len(rule.nodes))
-    acc2 = np.zeros(len(rule.nodes))
-    total = 0
-    for size in rngmod.chunked(budget):
+
+    def draw(gen, size):
         pts = [sample_uniform(L, gen, size) for L in bodies]
-        vals = _det_with_direction(pts, rule.nodes) ** p  # (size, nodes)
-        acc += vals.sum(axis=0)
-        acc2 += (vals**2).sum(axis=0)
-        total += size
-    mean = acc / total
-    var = np.clip(acc2 / total - mean**2, 0.0, None)
-    sem = np.sqrt(var / total)
-    volp = _volumes_product(bodies, budget, seed)
+        return _det_with_direction(pts, rule.nodes) ** p
+
+    mean, sem, _ = mc_direction_moments(gen, budget, draw)
+    volp = product(volume(L, budget=budget, seed=seed + i) for i, L in enumerate(bodies))
     hp = mean * volp.value
     hp_err = np.sqrt((volp.value * sem) ** 2 + (mean * volp.stderr) ** 2)
     h = hp ** (1.0 / p)
@@ -177,17 +149,11 @@ def centroid_body(
     n = L.dim
     rule = rule or sphere_rule(n, 256 if n == 2 else 48)
     gen = rngmod.substream(seed, "centroid", str(p), repr(L))
-    acc = np.zeros(len(rule.nodes))
-    acc2 = np.zeros(len(rule.nodes))
-    total = 0
-    for size in rngmod.chunked(budget):
-        x = sample_uniform(L, gen, size)
-        vals = np.abs(x @ rule.nodes.T) ** p
-        acc += vals.sum(axis=0)
-        acc2 += (vals**2).sum(axis=0)
-        total += size
-    mean = acc / total
-    sem = np.sqrt(np.clip(acc2 / total - mean**2, 0, None) / total)
+
+    def draw(gen, size):
+        return np.abs(sample_uniform(L, gen, size) @ rule.nodes.T) ** p
+
+    mean, sem, _ = mc_direction_moments(gen, budget, draw)
     c = c_np(n, p).value
     h = (mean / c) ** (1.0 / p)
     h_err = np.where(mean > 0, h / p * sem / np.maximum(mean, 1e-300), 0.0)
@@ -244,11 +210,12 @@ class SurfaceMeasure:
             vals = f(rule.nodes) * self.density(rule.nodes)
             return quad_estimate(rule.integrate(vals))
         gen = rngmod.substream(seed, "surface-measure-int")
-        vals = []
-        for size in rngmod.chunked(budget):
+
+        def draw(gen, size):
             dirs, w = self.sampler(gen, size)
-            vals.append(f(dirs) * w)
-        return from_samples(np.concatenate(vals))
+            return f(dirs) * w
+
+        return from_samples(mc_draws(gen, budget, draw))
 
     def total_mass(self, **kw) -> Estimate:
         return self.integrate(lambda u: np.ones(len(u)), **kw)
@@ -369,11 +336,11 @@ def dual_mixed_volume(
     """(n+p)/n times the integral over K of the gauge of L to the p."""
     n = K.dim
     gen = rngmod.substream(seed, "dmv", str(p), repr(K), repr(L))
-    vals = []
-    for size in rngmod.chunked(budget):
-        x = sample_uniform(K, gen, size)
-        vals.append(L.gauge(x) ** p)
-    mean = from_samples(np.concatenate(vals))
+
+    def draw(gen, size):
+        return L.gauge(sample_uniform(K, gen, size)) ** p
+
+    mean = from_samples(mc_draws(gen, budget, draw))
     return mean * volume(K, budget=budget, seed=seed) * ((n + p) / n)
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,34 +27,29 @@ from .bodies import (
     Ellipsoid,
     LqBall,
     Polytope,
-    Simplex,
     standard_simplex,
     volume,
 )
 from .constants import (
-    ConstantRecord,
     b_np,
     b_np_dual,
-    c_np,
     cnv_np,
     derived_constants,
     holder_conjugate,
-    levelset_constant,
     moment_constant,
     omega_n,
     petty_bound,
+    reparam_lambda_to_alpha,
     rsid_f_constant,
 )
 from .dualtheory import (
     I_tilde_p,
     I_tilde_p_functions,
-    I_tilde_p_star,
-    N_tilde_p_body,
     omega_p,
     omega_p_function,
     omega_p_radial,
 )
-from .estimate import Estimate
+from .estimate import Estimate, mc_direction_moments, product
 from .funcspace import (
     CompactFunction,
     I_p_functions,
@@ -198,9 +193,6 @@ class InequalityCase:
     instances: callable  # (config) -> iterable of (label, evaluator)
     description: str = ""
 
-    def applicable(self, config: RunConfig) -> bool:
-        return True
-
 
 # ---------------------------------------------------------------------------
 # corpora
@@ -287,17 +279,6 @@ def _lambda_admissible(lam: float, n: int, p: float) -> bool:
 # case evaluators
 
 
-def _prod(values):
-    out = Estimate(1.0)
-    for v in values:
-        out = out * v
-    return out
-
-
-def _vol(body) -> Estimate:
-    return volume(body)
-
-
 def _body_tuples(bodies, n, count=3):
     """Homogeneous tuples plus one mixed tuple."""
     out = [(repr(L), [L] * n) for L in bodies[:count]]
@@ -314,7 +295,7 @@ def _rsi_s_instances(config: RunConfig):
 
         def ev(budget, seed, tup=tup):
             lhs = I_p(tup, p, budget=budget, seed=seed)
-            rhs = b * _prod([_vol(L) ** ((n + p) / n) for L in tup])
+            rhs = b * product([volume(L) ** ((n + p) / n) for L in tup])
             return lhs / rhs
 
         yield label, ev
@@ -332,7 +313,7 @@ def _iso_s_instances(config: RunConfig):
         def ev(budget, seed, tup=tup):
             N = N_p_body(tup, p, budget=budget, seed=seed)
             vol_polar = N.polar_volume()
-            bound = a * _prod([_vol(L) ** (-(n + p) / p) for L in tup])
+            bound = a * product([volume(L) ** (-(n + p) / p) for L in tup])
             # the theorem is an upper bound: ratio = bound / vol
             return bound / vol_polar
 
@@ -367,7 +348,7 @@ def _bp_centroid_instances(config: RunConfig):
 
         def ev(budget, seed, L=L):
             G = centroid_body(L, p, budget=budget, seed=seed)
-            return G.body_volume() / _vol(L)
+            return G.body_volume() / volume(L)
 
         yield repr(L), ev
 
@@ -380,7 +361,7 @@ def _mv_instances(config: RunConfig):
 
         def ev(budget, seed, K=K, L=L):
             lhs = mixed_volume(K, L, p, budget=budget, seed=seed)
-            rhs = _vol(K) ** ((n - p) / n) * _vol(L) ** (p / n)
+            rhs = volume(K) ** ((n - p) / n) * volume(L) ** (p / n)
             return lhs / rhs
 
         yield f"{K!r}|{L!r}", ev
@@ -394,7 +375,7 @@ def _dmv_instances(config: RunConfig):
 
         def ev(budget, seed, K=K, L=L):
             lhs = dual_mixed_volume(K, L.polar(), p, budget=budget, seed=seed)
-            rhs = _vol(K) ** ((n + p) / n) * _vol(L) ** (-p / n)
+            rhs = volume(K) ** ((n + p) / n) * volume(L) ** (-p / n)
             return lhs / rhs
 
         yield f"{K!r}|{L!r}", ev
@@ -406,7 +387,7 @@ def _blaschke_instances(config: RunConfig):
     for L in bodies:
 
         def ev(budget, seed, L=L):
-            prod = _vol(L) * volume(L.polar(), budget=budget, seed=seed)
+            prod = volume(L) * volume(L.polar(), budget=budget, seed=seed)
             return Estimate(omega_n(n) ** 2) / prod
 
         yield repr(L), ev
@@ -427,7 +408,7 @@ def _petty_instances(config: RunConfig):
         def ev(budget, seed, L=L):
             Pi = projection_body(L)
             volPi = volume(Pi, budget=budget, seed=seed, method="quadrature")
-            ratio = volPi * _vol(L) ** (1 - n) * (1.0 / petty_bound(n))
+            ratio = volPi * volume(L) ** (1 - n) * (1.0 / petty_bound(n))
             return ratio
 
         yield repr(L), ev
@@ -449,7 +430,7 @@ def _rsid_s_instances(config: RunConfig):
                 # the right-hand side vanishes and the bound is trivial
                 return Estimate(math.inf)
             lhs = I_tilde_p(tup, p, budget=budget, seed=seed)
-            rhs = btilde * _prod([omega_p(L, p) ** ((n + p) / n) for L in tup])
+            rhs = btilde * product([omega_p(L, p) ** ((n + p) / n) for L in tup])
             return lhs / rhs
 
         yield label, ev
@@ -470,7 +451,7 @@ def _moment_instances(config: RunConfig):
             rhs = (
                 lp_norm(f, 1.0, budget=budget, seed=seed) ** ((n + p * lamp) / n)
                 * lp_norm(f, lam, budget=budget, seed=seed) ** (-p * lamp / n)
-                * _vol(L) ** (-p / n)
+                * volume(L) ** (-p / n)
                 * ct
             )
             return lhs / rhs
@@ -492,7 +473,7 @@ def _sobolev_cnv_instances(config: RunConfig):
 
         def ev(budget, seed, f=f):
             lhs = mixed_volume_f(f, L, p, budget=budget, seed=seed)
-            rhs = lp_norm(f, pstar, budget=budget, seed=seed) ** p * _vol(L) ** (p / n) * cnv
+            rhs = lp_norm(f, pstar, budget=budget, seed=seed) ** p * volume(L) ** (p / n) * cnv
             return lhs / rhs
 
         yield f.label, ev
@@ -520,7 +501,7 @@ def _iso_f_instances(config: RunConfig):
         def ev(budget, seed, tup=tup):
             N = N_p_function_body(tup, p, budget=budget, seed=seed)
             vol_polar = N.polar_volume()
-            bound = A * _prod(
+            bound = A * product(
                 [_norm_factor_iso(l, n, p, lam, lamp, budget, seed) for l in tup]
             )
             return bound / vol_polar
@@ -541,7 +522,7 @@ def _rsi_f_instances(config: RunConfig):
 
         def ev(budget, seed, tup=tup):
             lhs = I_p_functions(tup, p, budget=budget, seed=seed)
-            rhs = B * _prod(
+            rhs = B * product(
                 [
                     lp_norm(l, 1.0, budget=budget, seed=seed) ** ((n + p * lamp) / n)
                     * lp_norm(l, lam, budget=budget, seed=seed) ** (-p * lamp / n)
@@ -581,15 +562,9 @@ def _levelset_instances(config: RunConfig):
         yield label, ev
 
 
-def _alpha_from_lambda(lam: float, n: int, p: float) -> float:
-    if lam == math.inf:
-        return math.inf
-    return 1.0 + (lam - 1.0) * (n + p) / ((n + 1) * p)
-
-
 def _rsid_f_instances(config: RunConfig):
     n, p, lam = config.n, config.p, config.lam
-    alpha = _alpha_from_lambda(lam, n, p)
+    alpha = reparam_lambda_to_alpha(lam, n, p)
     if alpha != math.inf and not (n / (n + 1) < alpha < 1 or alpha > 1):
         return
     const = rsid_f_constant(n, p, alpha).estimate()
@@ -630,7 +605,7 @@ def _conj_5_1_instances(config: RunConfig):
 
         def ev(budget, seed, tup=tup):
             lhs = I_tilde_p(tup, p, budget=budget, seed=seed)
-            rhs = bbar * _prod([_vol(L) ** ((n - p) / n) for L in tup])
+            rhs = bbar * product([volume(L) ** ((n - p) / n) for L in tup])
             return lhs / rhs
 
         yield label, ev
@@ -662,17 +637,12 @@ def _polar_projection_norm(f: CompactFunction, p: float, budget: int, seed: int)
     rule = sphere_rule(n, 256 if n == 2 else 48)
     sm = surface_measure_f(f, p)
     gen = rngmod.substream(seed, "polar-proj", str(p), f.label)
-    acc = np.zeros(len(rule.nodes))
-    acc2 = np.zeros(len(rule.nodes))
-    total = 0
-    for size in rngmod.chunked(budget):
+
+    def draw(gen, size):
         dirs, w = sm.sample(gen, size)
-        vals = np.abs(dirs @ rule.nodes.T) ** p * w[:, None]
-        acc += vals.sum(axis=0)
-        acc2 += (vals**2).sum(axis=0)
-        total += size
-    m = acc / total
-    sem = np.sqrt(np.clip(acc2 / total - m**2, 0, None) / total)
+        return np.abs(dirs @ rule.nodes.T) ** p * w[:, None]
+
+    m, sem, total = mc_direction_moments(gen, budget, draw)
     integral = rule.integrate(m ** (-n / p))
     val = integral ** (-1.0 / n)
     # d val / d m_j = val / n * (n/p) * w_j m_j^{-n/p-1} / integral

@@ -2,10 +2,14 @@
 
 All randomness in the package flows from a single 64-bit seed.  Named
 sub-streams are derived by hashing string keys into a
-``numpy.random.SeedSequence`` spawn, so any operation gets a
-reproducible generator independent of call order.  Monte-Carlo loops
-consume fixed-size chunks reduced in chunk order, which keeps results
-bit-reproducible regardless of how chunks are scheduled.
+``numpy.random.SeedSequence``, so any operation gets a reproducible
+generator independent of call order.  Each Monte-Carlo call keys its
+stream on its function name, its parameters and the ``repr`` (or label)
+of its bodies or functions, and draws ``chunked`` fixed-size chunks in
+order from that one generator through
+:func:`convexgeom.estimate.mc_draws` or
+:func:`convexgeom.estimate.mc_direction_moments`.  Results are therefore
+bit-reproducible for a given seed and budget, whatever the thread count.
 """
 
 from __future__ import annotations
@@ -34,10 +38,14 @@ def substream(seed: int, *keys: str) -> np.random.Generator:
 
 def thread_count() -> int:
     """Worker count, controlled by the CONVEXGEOM_THREADS variable."""
+    raw = os.environ.get("CONVEXGEOM_THREADS", "1")
     try:
-        return max(1, int(os.environ.get("CONVEXGEOM_THREADS", "1")))
+        count = int(raw)
     except ValueError:
-        return 1
+        count = 0
+    if count < 1:
+        raise ValueError(f"CONVEXGEOM_THREADS must be an integer >= 1, got {raw!r}")
+    return count
 
 
 def chunked(total: int, chunk: int = CHUNK):

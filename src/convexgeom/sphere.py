@@ -33,9 +33,6 @@ class SphereRule:
         """Weighted sum of ``values`` sampled at the rule nodes."""
         return float(np.dot(self.weights, values))
 
-    def apply(self, f) -> float:
-        return self.integrate(f(self.nodes))
-
 
 def sphere_rule(n: int, level: int = 256) -> SphereRule:
     """Quadrature rule on S^{n-1}.

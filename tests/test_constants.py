@@ -17,6 +17,7 @@ from convexgeom.constants import (
     omega_n,
     petty_bound,
     reparam_alpha_to_lambda,
+    reparam_lambda_to_alpha,
     rsid_f_constant,
     sobolev_constant,
 )
@@ -52,8 +53,9 @@ class TestClosedValues:
 
     def test_reparam_roundtrip(self):
         lam = reparam_alpha_to_lambda(1.7, 2, 2.0)
-        alpha = 1 + (lam - 1) * (2 + 2.0) / ((2 + 1) * 2.0)
+        alpha = reparam_lambda_to_alpha(lam, 2, 2.0)
         assert alpha == pytest.approx(1.7)
+        assert reparam_lambda_to_alpha(math.inf, 2, 2.0) == math.inf
 
 
 class TestLevelsetConstant:

@@ -63,6 +63,12 @@ class TestArithmetic:
         assert c.value == pytest.approx(16.0)
         assert c.stderr == pytest.approx(2 * 4.0 * 0.4)
 
+    def test_power_at_zero_keeps_error(self):
+        a = Estimate(0.0, 0.1, 10, "monte-carlo")
+        assert (a**1).stderr == 0.1
+        assert (a**2).stderr == pytest.approx(0.01)
+        assert (a**0.5).stderr == pytest.approx(0.1**0.5)
+
     def test_sum_and_difference(self):
         a, b = mc(2.0, 0.3), mc(1.0, 0.4)
         assert (a + b).value == 3.0

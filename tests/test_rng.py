@@ -1,6 +1,7 @@
 """Unit tests for deterministic stream splitting and chunking."""
 
 import numpy as np
+import pytest
 
 from convexgeom import rng as rngmod
 
@@ -54,3 +55,9 @@ class TestThreads:
     def test_thread_count_default(self, monkeypatch):
         monkeypatch.delenv("CONVEXGEOM_THREADS", raising=False)
         assert rngmod.thread_count() >= 1
+
+    @pytest.mark.parametrize("raw", ["abc", "0"])
+    def test_thread_count_rejects_bad_value(self, monkeypatch, raw):
+        monkeypatch.setenv("CONVEXGEOM_THREADS", raw)
+        with pytest.raises(ValueError, match="CONVEXGEOM_THREADS"):
+            rngmod.thread_count()
