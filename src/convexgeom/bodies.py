@@ -30,7 +30,6 @@ __all__ = [
     "LinearImage",
     "Polar",
     "NumericSupport",
-    "SupportOracle",
     "standard_simplex",
     "polar",
     "linear_image",
@@ -484,35 +483,6 @@ class NumericSupport(ConvexBody):
 
     def __repr__(self):
         return f"NumericSupport(n={self.dim}, nodes={len(self.values)})"
-
-
-class SupportOracle(ConvexBody):
-    """Body defined by an exact support-function callable.
-
-    Used for bodies (projection bodies, zonotopes) whose support has a
-    closed form but whose vertex structure we never need.  The gauge is
-    evaluated against a fixed dense direction grid.
-    """
-
-    def __init__(self, dim: int, h, grid_level: int | None = None):
-        self.dim = dim
-        self._h = h
-        level = grid_level or (1024 if dim == 2 else 64)
-        self._grid = sphere_rule(dim, level).nodes
-        self._grid_vals = np.asarray(h(self._grid), dtype=float)
-        if np.any(self._grid_vals <= 0):
-            raise ValueError("support must be positive")
-        self.bounding_radius = float(self._grid_vals.max()) * 1.001
-
-    def support(self, xi):
-        return np.asarray(self._h(_rows(xi)), dtype=float)
-
-    def gauge(self, x):
-        x = _rows(x)
-        return np.max((x @ self._grid.T) / self._grid_vals[None, :], axis=1)
-
-    def __repr__(self):
-        return f"SupportOracle(n={self.dim})"
 
 
 # ---------------------------------------------------------------------------

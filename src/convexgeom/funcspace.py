@@ -515,18 +515,16 @@ def lp_norm(
     budget: int = 100_000,
     seed: int = rngmod.DEFAULT_SEED,
 ) -> Estimate:
-    """(integral of l^lam)^(1/lam); essential sup at lam = inf.
+    """(integral of l^lam)^(1/lam); the declared supremum at lam = inf.
 
     Radial compositions are evaluated by separable quadrature (profile
     moment times a spherical gauge integral); generic functions by box
     Monte Carlo.
     """
     if lam == math.inf:
-        if l.sup is not None:
-            return Estimate(float(l.sup))
-        gen = rngmod.substream(seed, "supnorm", l.label)
-        best = mc_draws(gen, budget, lambda gen, size: l(l.sample_box(gen, size))).max()
-        return Estimate(float(best), 0.0, 0, "quadrature")
+        if l.sup is None:
+            raise ValueError(f"lp_norm at lam=inf needs the supremum of {l.label}")
+        return Estimate(float(l.sup))
     if lam <= 0:
         raise ValueError("lam must be positive or inf")
     n = l.dim
@@ -635,7 +633,7 @@ def surface_measure_f(f: CompactFunction, p: float) -> SurfaceMeasure:
             w = nw * Zp * body.gauge(theta) ** (-n) * norms**p
             return dirs, w
 
-        return SurfaceMeasure("pushforward", n, sampler=sampler)
+        return SurfaceMeasure("pushforward", n, sampler=sampler, label=f"{f.label}|p={p}")
 
     def sampler(gen, size):
         x = f.sample_box(gen, size)
@@ -647,7 +645,7 @@ def surface_measure_f(f: CompactFunction, p: float) -> SurfaceMeasure:
         w = norms**p * f.box_volume
         return dirs, w
 
-    return SurfaceMeasure("pushforward", f.dim, sampler=sampler)
+    return SurfaceMeasure("pushforward", f.dim, sampler=sampler, label=f"{f.label}|p={p}")
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ volume, and that identity is exposed as a consistency check.
 from __future__ import annotations
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from . import rng as rngmod
 from .bodies import (
@@ -19,7 +20,6 @@ from .bodies import (
     Ellipsoid,
     NumericSupport,
     Polytope,
-    SupportOracle,
     sample_uniform,
     volume,
 )
@@ -176,13 +176,18 @@ class SurfaceMeasure:
     pushforward
         sampler(rng, m) -> (directions, weights) such that weighted
         sample means estimate integrals against the measure.
+
+    ``label`` names the measure; pushforward integrals draw from a
+    random stream keyed on it.
     """
 
-    def __init__(self, kind, dim, atoms=None, density=None, sampler=None):
+    def __init__(self, kind, dim, atoms=None, density=None, sampler=None,
+                 label="surface-measure"):
         if kind not in ("atomic", "density", "pushforward"):
             raise ValueError(f"unknown surface measure kind {kind!r}")
         self.kind = kind
         self.dim = dim
+        self.label = label
         self.atoms = atoms
         self.density = density
         self.sampler = sampler
@@ -209,7 +214,7 @@ class SurfaceMeasure:
             rule = rule or sphere_rule(self.dim, 1024 if self.dim == 2 else 96)
             vals = f(rule.nodes) * self.density(rule.nodes)
             return quad_estimate(rule.integrate(vals))
-        gen = rngmod.substream(seed, "surface-measure-int")
+        gen = rngmod.substream(seed, "surface-measure-int", self.label)
 
         def draw(gen, size):
             dirs, w = self.sampler(gen, size)
@@ -246,16 +251,18 @@ def surface_measure(L: ConvexBody, p: float) -> SurfaceMeasure:
     density, see :func:`convexgeom.dualtheory.curvature_density`).
     """
     n = L.dim
+    label = f"{L!r}|p={p}"
     if isinstance(L, (Cube, Polytope)):
         normals, areas = L.facets()
         h = L.support(normals)
         if np.any(h <= 0):
             raise ValueError("origin must be interior for the L_p measure")
-        return SurfaceMeasure("atomic", n, atoms=(normals, h ** (1.0 - p) * areas))
+        return SurfaceMeasure("atomic", n, atoms=(normals, h ** (1.0 - p) * areas), label=label)
     if isinstance(L, Ball):
         r = L.radius
         return SurfaceMeasure(
-            "density", n, density=lambda u: np.full(len(np.atleast_2d(u)), r ** (n - p))
+            "density", n, density=lambda u: np.full(len(np.atleast_2d(u)), r ** (n - p)),
+            label=label,
         )
     if isinstance(L, Ellipsoid):
         A = L.A
@@ -264,6 +271,7 @@ def surface_measure(L: ConvexBody, p: float) -> SurfaceMeasure:
             "density",
             n,
             density=lambda u: d2 * np.linalg.norm(np.atleast_2d(u) @ A, axis=1) ** (-(n + p)),
+            label=label,
         )
     if isinstance(L, NumericSupport):
         raise ValueError(
@@ -277,49 +285,29 @@ def surface_measure(L: ConvexBody, p: float) -> SurfaceMeasure:
 
 
 def projection_body(L: ConvexBody) -> ConvexBody:
-    """Body with support half the cosine-transform of the surface measure."""
-    sm = surface_measure(L, 1.0)
+    """Body with support half the cosine transform of the surface measure.
+
+    Exact in every supported case: a ball of radius r maps to the ball
+    of radius omega_{n-1} r^{n-1}; an ellipsoid A.B maps to
+    |det A| omega_{n-1} A^{-T}.B (SL(n) contravariance of the operator);
+    a polytope with facet normals u_j and areas a_j maps to the zonotope
+    sum of the segments [-g_j, g_j], g_j = a_j u_j / 2.
+    """
     n = L.dim
-    if sm.kind == "atomic":
-        normals, weights = sm.atoms
-
-        def h(xi):
-            xi = np.atleast_2d(xi)
-            return 0.5 * np.abs(xi @ normals.T) @ weights
-
-        return SupportOracle(n, h)
-    if sm.kind == "density" and n == 2:
-        from scipy.integrate import quad as squad
-
-        dens = sm.density
-
-        def h2(xi):
-            xi = np.atleast_2d(xi)
-            out = np.empty(len(xi))
-            for i, v in enumerate(xi):
-                nv = np.linalg.norm(v)
-                a = np.arctan2(v[1], v[0])
-
-                def f(t):
-                    u = np.array([[np.cos(t), np.sin(t)]])
-                    return abs(np.cos(t - a)) * float(dens(u)[0])
-
-                # split at the two angles where <xi, u> vanishes
-                val = 0.0
-                for lo, hi in [(a - np.pi / 2, a + np.pi / 2), (a + np.pi / 2, a + 3 * np.pi / 2)]:
-                    val += squad(f, lo, hi, epsabs=1e-12, limit=200)[0]
-                out[i] = 0.5 * nv * val
-            return out
-
-        return SupportOracle(2, h2)
-    rule = sphere_rule(n, 96)
-
-    def h3(xi):
-        xi = np.atleast_2d(xi)
-        dens_vals = sm.density(rule.nodes)
-        return 0.5 * (np.abs(xi @ rule.nodes.T) * dens_vals[None, :]) @ rule.weights
-
-    return SupportOracle(n, h3)
+    if isinstance(L, Ball):
+        return Ball(omega_n(n - 1) * L.radius ** (n - 1), n)
+    if isinstance(L, Ellipsoid):
+        return Ellipsoid(abs(np.linalg.det(L.A)) * omega_n(n - 1) * L.Ainv.T)
+    if isinstance(L, (Cube, Polytope)):
+        normals, areas = L.facets()
+        V = np.zeros((1, n))
+        for g in 0.5 * areas[:, None] * normals:
+            V = np.vstack([V + g, V - g])
+            # prune to the extreme points once the sum is full-dimensional
+            if np.linalg.matrix_rank(V - V[0]) == n:
+                V = V[ConvexHull(V).vertices]
+        return Polytope(V)
+    raise ValueError(f"no exact projection body for {L!r}")
 
 
 # ---------------------------------------------------------------------------

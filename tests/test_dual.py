@@ -26,6 +26,7 @@ from convexgeom.dualtheory import (
 )
 from convexgeom.funcspace import bump_profile, radial_function, radial_representative
 from convexgeom.functionals import projection_body
+from convexgeom.harness import corpus
 
 
 def _agree(a, b, extra=0.0):
@@ -108,7 +109,19 @@ class TestProjectionVolume:
     def test_identity_with_projection_body_ball(self):
         est = projection_body_volume(Ball(1.0, 2), budget=1 << 18, seed=8)
         exact = volume(projection_body(Ball(1.0, 2))).value
-        assert abs(est.value - exact) <= 3 * est.stderr + 1e-6
+        assert abs(est.value - exact) <= 3 * est.stderr
+
+    @pytest.mark.parametrize(
+        "L",
+        [L for n in (2, 3) for L in corpus("standard", n)[:4] + corpus("standard", n)[6:7]],
+        ids=repr,
+    )
+    def test_exact_volume_matches_dual_moment(self, L):
+        # the closed-form ellipsoid or zonotope volume against the
+        # Monte-Carlo dual moment identity
+        est = projection_body_volume(L, budget=1 << 16, seed=9)
+        exact = volume(projection_body(L)).value
+        assert abs(est.value - exact) <= 3 * est.stderr
 
 
 class TestBorderedHessian:

@@ -1,6 +1,7 @@
 """Unit tests for compactly supported functions: profiles, radial
 reductions, functional mixed volumes and surface measures."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -121,6 +122,12 @@ class TestFunctionalPairings:
         prof = bump_profile(3, 1.0)
         f = radial_function(prof, Ball(1.0, 2))
         assert lp_norm(f, math.inf).value == pytest.approx(1.0)
+
+    def test_lp_norm_sup_needs_declared_sup(self):
+        f = radial_function(bump_profile(3, 1.0), Ball(1.0, 2))
+        generic = dataclasses.replace(f, sup=None, label="generic-bump")
+        with pytest.raises(ValueError, match="generic-bump"):
+            lp_norm(generic, math.inf)
 
     def test_lp_norm_scaling_under_linear_image(self):
         prof = bump_profile(3, 1.0)

@@ -10,6 +10,7 @@ from convexgeom.bodies import (
     Ball,
     Cube,
     Ellipsoid,
+    LqBall,
     Polytope,
     linear_image,
     standard_simplex,
@@ -19,6 +20,7 @@ from convexgeom.constants import omega_n
 from convexgeom.functionals import (
     I_p,
     N_p_body,
+    SurfaceMeasure,
     centroid_body,
     dual_mixed_volume,
     equivalence_check,
@@ -26,7 +28,8 @@ from convexgeom.functionals import (
     projection_body,
     surface_measure,
 )
-from convexgeom.sphere import sphere_rule
+from convexgeom.harness import corpus
+from convexgeom.sphere import sample_sphere, sphere_rule
 
 
 def _agree(a, b, extra=0.0):
@@ -95,6 +98,17 @@ class TestSurfaceMeasure:
         total = rule.integrate(sm.density(rule.nodes))
         assert total == pytest.approx(2 * math.pi, rel=1e-9)
 
+    def test_pushforward_stream_keyed_on_label(self):
+        def sampler(gen, size):
+            return sample_sphere(gen, 2, size), np.ones(size)
+
+        a, b = (
+            SurfaceMeasure("pushforward", 2, sampler=sampler, label=label).integrate(
+                lambda u: u[:, 0] ** 2, budget=1000, seed=5)
+            for label in ("a", "b")
+        )
+        assert a.value != b.value
+
     def test_ellipsoid_density_closes_mixed_volume_identity(self):
         # (1/n) int h_E dS_1(E) = vol(E)
         E = Ellipsoid(np.array([[1.5, 0.2], [0.0, 0.8]]))
@@ -133,7 +147,7 @@ class TestCentroidBody:
 
 class TestProjectionBody:
     def test_ball_projection_is_doubled_ball(self):
-        # criterion: support error <= 1e-6 through the quadrature route
+        # criterion: support error <= 1e-6
         Pi = projection_body(Ball(1.0, 2))
         u = sphere_rule(2, 64).nodes
         assert np.allclose(Pi.support(u), 2.0, atol=1e-6)
@@ -143,3 +157,20 @@ class TestProjectionBody:
         u = np.array([[1.0, 0.0], [0.0, 1.0], [np.sqrt(0.5), np.sqrt(0.5)]])
         expect = 2 * (np.abs(u[:, 0]) + np.abs(u[:, 1]))
         assert np.allclose(Pi.support(u), expect, atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "L",
+        [Cube(1.0, 3), standard_simplex(3, centered=True), corpus("standard", 3)[6]],
+        ids=repr,
+    )
+    def test_zonotope_support_is_cosine_transform(self, L):
+        # h(xi) = 1/2 sum_j area_j |<xi, u_j>| over the facets of L
+        Pi = projection_body(L)
+        normals, areas = L.facets()
+        xi = np.random.default_rng(3).standard_normal((50, 3))
+        expect = 0.5 * np.abs(xi @ normals.T) @ areas
+        assert np.allclose(Pi.support(xi), expect, rtol=1e-12, atol=0)
+
+    def test_non_exact_body_raises(self):
+        with pytest.raises(ValueError, match="LqBall"):
+            projection_body(LqBall(1.5, 2))

@@ -71,7 +71,6 @@ def _estimates() -> dict:
     sm = surface_measure_f(radial, 2.0)
     return {
         "lp_norm_box": lp_norm(generic, 2.0, **kw),
-        "lp_norm_sup": lp_norm(generic, math.inf, **kw),
         "dual_mixed_volume_f_mc": dual_mixed_volume_f(radial, ball, 2.0, method="monte-carlo", **kw),
         "mixed_volume_f_mc": mixed_volume_f(radial, ell, 2.0, method="monte-carlo", **kw),
         "omega_p_function": omega_p_function(radial, 2.0, **kw),
