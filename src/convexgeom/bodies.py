@@ -352,10 +352,10 @@ class LinearImage(ConvexBody):
 
 
 class Polar(ConvexBody):
-    def __init__(self, base: ConvexBody, rule: SphereRule | None = None):
+    def __init__(self, base: ConvexBody):
         self.base = base
         self.dim = base.dim
-        rule = rule or sphere_rule(base.dim, 512 if base.dim == 2 else 96)
+        rule = sphere_rule(base.dim, 512 if base.dim == 2 else 96)
         # K contains r B  <=>  h_K >= r on the sphere; then K° is in B/r.
         inradius = float(np.min(base.support(rule.nodes)))
         if inradius <= 0:
@@ -376,17 +376,24 @@ class Polar(ConvexBody):
 
 
 class NumericSupport(ConvexBody):
-    """Body given by support values on a sphere rule grid.
+    """Body given by support values on the nodes of ``sphere_rule(n, level)``.
 
-    Queries interpolate: piecewise linear in angle for n=2, spherical
-    barycentric over a Delaunay triangulation of the nodes for n=3.
-    Convexity of the interpolant is not enforced.
+    Queries interpolate on the rule's own grid.  Each ring of nodes is a
+    midpoint grid in azimuth, phi_k = (k + 1/2) 2 pi / level, and a query
+    interpolates linearly and periodically between its two neighbours.
+    For n=3 it then interpolates linearly in the polar angle
+    theta = arccos z between the two neighbouring Gauss-Legendre rings;
+    beyond the outermost rings it meets a pole row that holds the mean of
+    the nearest ring.  n=2 is the single-ring case.  Convexity of the
+    interpolant is not enforced.
     """
 
     def __init__(self, rule: SphereRule, values, node_stderr=None):
         values = np.asarray(values, dtype=float)
         if np.any(values <= 0):
             raise ValueError("support values must be positive")
+        if not np.array_equal(rule.nodes, sphere_rule(rule.dim, rule.level).nodes):
+            raise ValueError("NumericSupport needs a rule built by sphere_rule")
         self.rule = rule
         self.values = values
         self.node_stderr = (
@@ -394,54 +401,41 @@ class NumericSupport(ConvexBody):
         )
         self.dim = rule.dim
         self.bounding_radius = float(values.max()) * 1.001
-        if self.dim == 2:
-            self._theta = np.mod(np.arctan2(rule.nodes[:, 1], rule.nodes[:, 0]), 2 * np.pi)
-            order = np.argsort(self._theta)
-            self._theta = self._theta[order]
-            self._vals_sorted = values[order]
-        elif self.dim == 3:
-            from scipy.spatial import ConvexHull
-
-            self._hull = ConvexHull(rule.nodes)
-        else:
-            raise ValueError("NumericSupport supports n in {2, 3}")
+        # rows: rings in increasing polar angle; columns: azimuth nodes
+        level = rule.level
+        rings = values.reshape(-1, level)[::-1]
+        if self.dim == 3:
+            theta = np.arccos(rule.nodes[::level, 2])[::-1]
+            self._ring_theta = np.concatenate([[0.0], theta, [np.pi]])
+            rings = np.vstack(
+                [np.full(level, rings[0].mean()), rings, np.full(level, rings[-1].mean())]
+            )
+        self._rings = rings
 
     def support(self, xi):
         xi = _rows(xi)
         norms = np.linalg.norm(xi, axis=1)
         u = xi / norms[:, None]
-        if self.dim == 2:
-            th = np.mod(np.arctan2(u[:, 1], u[:, 0]), 2 * np.pi)
-            vals = np.interp(
-                th,
-                np.concatenate([self._theta, [self._theta[0] + 2 * np.pi]]),
-                np.concatenate([self._vals_sorted, [self._vals_sorted[0]]]),
-            )
-            return vals * norms
-        return self._support3(u) * norms
+        g = self._rings
+        level = g.shape[1]
+        t = np.arctan2(u[:, 1], u[:, 0]) * (level / (2 * np.pi)) - 0.5
+        k0 = np.floor(t)
+        a = t - k0
+        k0 = k0.astype(int) % level
+        k1 = (k0 + 1) % level
+        if self.dim == 3:
+            theta = np.arccos(np.clip(u[:, 2], -1.0, 1.0))
+            r = np.interp(theta, self._ring_theta, np.arange(len(g)))
+        else:
+            r = np.zeros(len(u))
+        i0 = np.floor(r).astype(int)
+        b = r - i0
+        i1 = np.minimum(i0 + 1, len(g) - 1)
 
-    def _support3(self, u):
-        # spherical barycentric interpolation: find the hull facet whose
-        # cone contains u, then combine the vertex values linearly.
-        simplices = self._hull.simplices  # (f, 3) indices
-        pts = self._hull.points
-        out = np.empty(u.shape[0])
-        # precompute inverse matrices per facet lazily
-        if not hasattr(self, "_facet_inv"):
-            mats = pts[simplices].transpose(0, 2, 1)  # (f, 3, 3) columns = vertices
-            self._facet_inv = np.linalg.pinv(mats)
-        lam = np.einsum("fij,qj->qfi", self._facet_inv, u)  # (q, f, 3)
-        ok = np.all(lam >= -1e-9, axis=2)
-        best = np.argmax(ok, axis=1)
-        # fall back to most-interior facet when roundoff leaves no hit
-        none = ~ok.any(axis=1)
-        if none.any():
-            best[none] = np.argmax(lam.min(axis=2)[none], axis=1)
-        lsel = lam[np.arange(u.shape[0]), best]  # (q, 3)
-        lsel = np.clip(lsel, 0.0, None)
-        lsel /= lsel.sum(axis=1, keepdims=True)
-        out = np.sum(lsel * self.values[simplices[best]], axis=1)
-        return out
+        def ring(i):
+            return (1 - a) * g[i, k0] + a * g[i, k1]
+
+        return ((1 - b) * ring(i0) + b * ring(i1)) * norms
 
     def gauge(self, x):
         # treat the rule nodes as facet normals: K ~ {x : <x, u_j> <= h_j}
@@ -461,13 +455,13 @@ class NumericSupport(ConvexBody):
         method = "monte-carlo" if err > 0 else "quadrature"
         return Estimate(val, err, len(self.values), method)
 
-    def body_volume(self, rule: SphereRule | None = None):
+    def body_volume(self):
         """Volume of the body itself: radial quadrature of 1/gauge, with
         the gauge induced by the support values (facet representation).
         Node noise is propagated through the active facet of each ray."""
         from .estimate import Estimate
 
-        rule = rule or sphere_rule(self.dim, 1024 if self.dim == 2 else 96)
+        rule = sphere_rule(self.dim, 1024 if self.dim == 2 else 96)
         n = self.dim
         scores = (rule.nodes @ self.rule.nodes.T) / self.values[None, :]
         active = np.argmax(scores, axis=1)
@@ -525,7 +519,6 @@ def volume(
     budget: int = 200_000,
     seed: int = rngmod.DEFAULT_SEED,
     method: str = "auto",
-    rule: SphereRule | None = None,
 ) -> Estimate:
     """Volume of a body.
 
@@ -546,7 +539,7 @@ def volume(
             raise ValueError(f"no closed-form volume for {body!r}")
         return Estimate(v, method=CLOSED_FORM)
     if method == "quadrature":
-        rule = rule or sphere_rule(body.dim, 1024 if body.dim == 2 else 128)
+        rule = sphere_rule(body.dim, 1024 if body.dim == 2 else 128)
         r = 1.0 / body.gauge(rule.nodes)
         return quad_estimate(rule.integrate(r**body.dim) / body.dim)
     if method == "triangulation":
@@ -571,9 +564,7 @@ def volume(
     raise ValueError(f"unknown method {method!r}")
 
 
-def sample_uniform(
-    body: ConvexBody, rng: np.random.Generator, size: int = 1, max_tries: int = 10_000_000
-) -> np.ndarray:
+def sample_uniform(body: ConvexBody, rng: np.random.Generator, size: int = 1) -> np.ndarray:
     """Uniform samples from a body by rejection from its bounding box."""
     R = body.bounding_radius
     n = body.dim
@@ -587,6 +578,6 @@ def sample_uniform(
         out.append(keep)
         got += len(keep)
         tried += batch
-        if tried > max_tries and got == 0:
+        if tried > 10_000_000 and got == 0:
             raise RuntimeError("rejection sampling acceptance rate too low")
     return np.concatenate(out)[:size]

@@ -294,9 +294,7 @@ def levelset_constant_minimized(n: int, p: float, lam: float) -> float:
 # Monte-Carlo-derived constants
 
 
-def b_np(
-    n: int, p: float, budget: int = 400_000, seed: int = 7, max_rel_stderr: float = 0.02
-) -> ConstantRecord:
+def b_np(n: int, p: float, budget: int = 400_000, seed: int = 7) -> ConstantRecord:
     """Sharp random-simplex constant, derived from the ball equality case:
     b = I_p(B, ..., B) / omega_n^{n+p}."""
 
@@ -307,7 +305,7 @@ def b_np(
         ball = Ball(1.0, n)
         est = I_p([ball] * n, p, budget=budget, seed=seed)
         val = est / omega_n(n) ** (n + p)
-        if val.stderr > max_rel_stderr * abs(val.value):
+        if val.stderr > 0.02 * abs(val.value):
             raise RuntimeError(
                 f"b_np stderr {val.stderr:g} above tolerance; raise the budget"
             )

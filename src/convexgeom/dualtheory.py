@@ -21,7 +21,7 @@ from .constants import QUAD_TOL, omega_n
 from .estimate import Estimate, from_samples, mc_draws, product, quad_estimate
 from .funcspace import CompactFunction, Profile
 from .functionals import det_volume_many, surface_measure
-from .sphere import SphereRule, sphere_rule
+from .sphere import sphere_rule
 
 __all__ = [
     "StarBody",
@@ -61,9 +61,9 @@ class StarBody:
         safe = np.where(norms > 0, norms, 1.0)
         return norms <= self.radial(x / safe[:, None]) + 1e-15
 
-    def volume(self, rule: SphereRule | None = None) -> Estimate:
+    def volume(self) -> Estimate:
         """(1/n) integral of the radial function to the n-th power."""
-        rule = rule or sphere_rule(self.dim, 1024 if self.dim == 2 else 96)
+        rule = sphere_rule(self.dim, 1024 if self.dim == 2 else 96)
         val = rule.integrate(self.radial(rule.nodes) ** self.dim) / self.dim
         return quad_estimate(val)
 
@@ -83,7 +83,7 @@ class StarBody:
         return out
 
 
-def curvature_density(L: ConvexBody, p: float, grid: int = 4096):
+def curvature_density(L: ConvexBody, p: float):
     """p-curvature function of a smooth body as a callable on unit vectors.
 
     Closed-form densities (ball, ellipsoid) are taken from the surface
@@ -97,6 +97,7 @@ def curvature_density(L: ConvexBody, p: float, grid: int = 4096):
         raise ValueError("polytopes have no curvature function (surface measure is atomic)")
     if L.dim != 2:
         raise ValueError("generic curvature densities implemented only in the plane")
+    grid = 4096
     theta = np.arange(grid) * (2 * np.pi / grid)
     u = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     h = L.support(u)
@@ -122,7 +123,7 @@ def star_body(L: ConvexBody, p: float) -> StarBody:
     return StarBody(n, lambda u: f(u) ** (1.0 / (n + p)), f"{L!r}*_{p:g}")
 
 
-def omega_p(L: ConvexBody, p: float, rule: SphereRule | None = None) -> Estimate:
+def omega_p(L: ConvexBody, p: float) -> Estimate:
     """p-affine surface area: the integral over the sphere of the
     p-curvature function to the power n/(n+p)."""
     n = L.dim
@@ -132,7 +133,7 @@ def omega_p(L: ConvexBody, p: float, rule: SphereRule | None = None) -> Estimate
         # measure is purely atomic and its singular part does not
         # contribute to the absolutely continuous integral
         return Estimate(0.0)
-    rule = rule or sphere_rule(n, 1024 if n == 2 else 96)
+    rule = sphere_rule(n, 1024 if n == 2 else 96)
     f = curvature_density(L, p)
     return quad_estimate(rule.integrate(f(rule.nodes) ** (n / (n + p))))
 
@@ -294,7 +295,6 @@ def omega_p_levelset(
     l: CompactFunction,
     p: float,
     t: float,
-    rule: SphereRule | None = None,
     rmax: float | None = None,
 ) -> float:
     """Level-set integral Omega_p(l, t) for a function whose superlevel
@@ -306,7 +306,7 @@ def omega_p_levelset(
     r^{n-1} |grad l| / |<grad l, u>|.
     """
     n = l.dim
-    rule = rule or sphere_rule(n, 512 if n == 2 else 64)
+    rule = sphere_rule(n, 512 if n == 2 else 64)
     R = rmax if rmax is not None else l.box * math.sqrt(n)
     out = 0.0
     for u, w in zip(rule.nodes, rule.weights):

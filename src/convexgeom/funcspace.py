@@ -28,7 +28,7 @@ from .constants import (
 )
 from .estimate import Estimate, from_samples, mc_direction_moments, mc_draws
 from .functionals import SurfaceMeasure, det_volume_many
-from .sphere import SphereRule, sphere_rule
+from .sphere import sphere_rule
 
 __all__ = [
     "CompactFunction",
@@ -383,8 +383,8 @@ class _RadialBins:
     inside it, and weight by the exact target over the proposal density.
     """
 
-    def __init__(self, phi, T: float, bins: int = 4096):
-        edges = np.linspace(0.0, T, bins + 1)
+    def __init__(self, phi, T: float):
+        edges = np.linspace(0.0, T, 4096 + 1)
         mids = 0.5 * (edges[:-1] + edges[1:])
         mass = np.clip(phi(mids), 0.0, None) * np.diff(edges)
         total = mass.sum()
@@ -411,7 +411,7 @@ class _RadialSampler:
     weight n omega_n gauge(theta)^{-n}; radii come from _RadialBins.
     """
 
-    def __init__(self, l: CompactFunction, phi_s, bins: int = 4096):
+    def __init__(self, l: CompactFunction, phi_s):
         from .constants import omega_n
         from .sphere import sample_sphere
 
@@ -420,7 +420,7 @@ class _RadialSampler:
         self.dim = l.dim
         # phi_s is the full radial density in s = gauge(x), including the
         # s^{n-1} area factor
-        self.radial = _RadialBins(phi_s, l.profile.Ttrunc, bins)
+        self.radial = _RadialBins(phi_s, l.profile.Ttrunc)
         self.nw = self.dim * omega_n(self.dim)
 
     def sample(self, gen, size):
@@ -449,8 +449,8 @@ def _profile_moment(l: CompactFunction, k: float, of_derivative: bool = False, p
     return val
 
 
-def _gauge_sphere_integral(l: CompactFunction, fn, rule: SphereRule | None = None) -> float:
-    rule = rule or sphere_rule(l.dim, 2048 if l.dim == 2 else 128)
+def _gauge_sphere_integral(l: CompactFunction, fn) -> float:
+    rule = sphere_rule(l.dim, 2048 if l.dim == 2 else 128)
     return rule.integrate(fn(rule.nodes))
 
 
@@ -692,7 +692,6 @@ def _function_sampler(l: CompactFunction) -> _RadialSampler:
 def N_p_function_body(
     ls: list[CompactFunction],
     p: float,
-    rule: SphereRule | None = None,
     budget: int = 200_000,
     seed: int = rngmod.DEFAULT_SEED,
 ):
@@ -704,7 +703,7 @@ def N_p_function_body(
     n = ls[0].dim
     if len(ls) != n - 1:
         raise ValueError("need n - 1 functions")
-    rule = rule or sphere_rule(n, 256 if n == 2 else 48)
+    rule = sphere_rule(n, 256 if n == 2 else 48)
     gen = rngmod.substream(seed, "N_p_f", str(p), *[l.label for l in ls])
     radial = all(l.is_radial for l in ls)
     samplers = [_function_sampler(l) for l in ls] if radial else None

@@ -202,7 +202,6 @@ class SurfaceMeasure:
     def integrate(
         self,
         f,
-        rule: SphereRule | None = None,
         budget: int = 100_000,
         seed: int = rngmod.DEFAULT_SEED,
     ) -> Estimate:
@@ -211,7 +210,7 @@ class SurfaceMeasure:
             normals, weights = self.atoms
             return Estimate(float(np.dot(weights, f(normals))))
         if self.kind == "density":
-            rule = rule or sphere_rule(self.dim, 1024 if self.dim == 2 else 96)
+            rule = sphere_rule(self.dim, 1024 if self.dim == 2 else 96)
             vals = f(rule.nodes) * self.density(rule.nodes)
             return quad_estimate(rule.integrate(vals))
         gen = rngmod.substream(seed, "surface-measure-int", self.label)
@@ -336,13 +335,12 @@ def mixed_volume(
     K: ConvexBody,
     L: ConvexBody,
     p: float,
-    rule: SphereRule | None = None,
     budget: int = 100_000,
     seed: int = rngmod.DEFAULT_SEED,
 ) -> Estimate:
     """(1/n) integral of h_L^p against the L_p surface measure of K."""
     sm = surface_measure(K, p)
-    est = sm.integrate(lambda u: L.support(u) ** p, rule=rule, budget=budget, seed=seed)
+    est = sm.integrate(lambda u: L.support(u) ** p, budget=budget, seed=seed)
     return est * (1.0 / K.dim)
 
 
@@ -351,14 +349,13 @@ def equivalence_check(
     p: float,
     budget: int = 100_000,
     seed: int = rngmod.DEFAULT_SEED,
-    rule: SphereRule | None = None,
 ) -> Estimate:
     """Ratio of the random-simplex moment to n/(n+p) times the dual
     mixed volume of the last body with the polar moment body of the
     others.  Contract: 1 within 3 sigma."""
     n = bodies[0].dim
     lhs = I_p(bodies, p, budget=budget, seed=seed)
-    Np = N_p_body(bodies[:-1], p, rule=rule, budget=budget, seed=seed + 1)
+    Np = N_p_body(bodies[:-1], p, budget=budget, seed=seed + 1)
     rhs = dual_mixed_volume(bodies[-1], Np.polar(), p, budget=budget, seed=seed + 2) * (
         n / (n + p)
     )

@@ -49,7 +49,7 @@ from .dualtheory import (
     omega_p_function,
     omega_p_radial,
 )
-from .estimate import Estimate, mc_direction_moments, product
+from .estimate import MONTE_CARLO, Estimate, mc_direction_moments, product
 from .funcspace import (
     CompactFunction,
     I_p_functions,
@@ -637,7 +637,12 @@ def _polar_projection_norm(f: CompactFunction, p: float, budget: int, seed: int)
 
     def draw(gen, size):
         dirs, w = sm.sample(gen, size)
-        return np.abs(dirs @ rule.nodes.T) ** p * w[:, None]
+        # one (size, nodes) array, updated in place to bound peak memory
+        vals = dirs @ rule.nodes.T
+        np.abs(vals, out=vals)
+        vals **= p
+        vals *= w[:, None]
+        return vals
 
     m, sem, total = mc_direction_moments(gen, budget, draw)
     integral = rule.integrate(m ** (-n / p))
@@ -784,7 +789,7 @@ def _evaluate(case: InequalityCase, label, ev, config: RunConfig) -> CaseResult:
         stderr=float(est.stderr),
         status=status,
         seed=config.seed,
-        samples=budget,
+        samples=budget if est.method == MONTE_CARLO else 0,
         wall_time=wall,
     )
 

@@ -22,7 +22,7 @@ from convexgeom.bodies import (
     volume,
 )
 from convexgeom.constants import omega_n
-from convexgeom.sphere import sphere_rule
+from convexgeom.sphere import SphereRule, sphere_rule
 
 BODIES_2D = [
     Ball(1.0, 2),
@@ -133,6 +133,10 @@ class TestPolytopes:
         assert S.gauge(np.zeros((1, 3)))[0] < 1.0
 
 
+def _rotation(n):
+    return np.linalg.qr(np.random.default_rng(0).standard_normal((n, n)))[0]
+
+
 class TestNumericSupport:
     def test_exact_ball_support_volumes(self):
         rule = sphere_rule(2, 512)
@@ -151,3 +155,40 @@ class TestNumericSupport:
         rule = sphere_rule(3, 64)
         N = NumericSupport(rule, 2.0 * np.ones(len(rule.nodes)))
         assert N.polar_volume().value == pytest.approx(omega_n(3) / 8, rel=1e-6)
+
+    def test_n2_interpolates_across_the_wrap(self):
+        # the first node sits at pi/level: angles below it interpolate
+        # against the last node, as accurately as anywhere else
+        K = Ellipsoid(_rotation(2) @ np.diag([2.0, 0.5]))
+        rule = sphere_rule(2, 256)
+        N = NumericSupport(rule, K.support(rule.nodes))
+        th = np.linspace(0.0, 2 * np.pi, 200_001)[:-1]
+        u = np.stack([np.cos(th), np.sin(th)], axis=1)
+        err = np.abs(N.support(u) - K.support(u))
+        wrap = th < np.pi / 256
+        assert err[wrap].max() <= 2 * err[~wrap].max()
+
+    @pytest.mark.parametrize(
+        "body, bound",
+        [
+            (Ellipsoid(_rotation(3) @ np.diag([2.0, 1.0, 0.5])), 3.03e-3),
+            (Cube(1.0, 3), 5.49e-3),
+            (LqBall(4.0, 3), 2.09e-3),
+            (standard_simplex(3, centered=True), 7.05e-3),
+        ],
+        ids=repr,
+    )
+    def test_n3_mean_relative_error(self, body, bound):
+        # each bound is 1.1x the mean error of spherical barycentric
+        # interpolation over a triangulation of the same nodes
+        rule = sphere_rule(3, 48)
+        N = NumericSupport(rule, body.support(rule.nodes))
+        u = np.random.default_rng(1).standard_normal((20_000, 3))
+        exact = body.support(u)
+        assert np.mean(np.abs(N.support(u) / exact - 1)) <= bound
+
+    def test_rule_not_from_sphere_rule_raises(self):
+        rule = sphere_rule(3, 16)
+        moved = SphereRule(rule.nodes[::-1], rule.weights, rule.level)
+        with pytest.raises(ValueError, match="sphere_rule"):
+            NumericSupport(moved, np.ones(len(rule.nodes)))

@@ -93,6 +93,10 @@ class TestRunner:
         rep = run(RunConfig(cases=["petty_probe"], **SMALL))
         assert all(r.status == "report" for r in rep.results)
 
+    def test_closed_form_rows_report_no_samples(self):
+        rep = run(RunConfig(cases=["petty_probe"], **SMALL))
+        assert all(r.samples == 0 for r in rep.results)
+
     def test_budget_exhaustion_flags_instead_of_failing(self):
         # a violated bound whose stderr target cannot be met is flagged
         from convexgeom.estimate import Estimate
