@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from . import rng as rngmod
-from .estimate import CLOSED_FORM, Estimate, from_samples, mc_draws, quad_estimate
+from .estimate import CLOSED_FORM, MONTE_CARLO, Estimate, from_samples, mc_draws, quad_estimate
 from .sphere import SphereRule, sphere_rule
 
 __all__ = [
@@ -386,9 +386,13 @@ class NumericSupport(ConvexBody):
     beyond the outermost rings it meets a pole row that holds the mean of
     the nearest ring.  n=2 is the single-ring case.  Convexity of the
     interpolant is not enforced.
+
+    ``node_stderr`` holds the Monte-Carlo standard error of each node
+    value and ``samples`` the draws that produced them; the volumes
+    report ``samples`` when they carry node noise.
     """
 
-    def __init__(self, rule: SphereRule, values, node_stderr=None):
+    def __init__(self, rule: SphereRule, values, node_stderr=None, samples: int = 0):
         values = np.asarray(values, dtype=float)
         if np.any(values <= 0):
             raise ValueError("support values must be positive")
@@ -399,6 +403,9 @@ class NumericSupport(ConvexBody):
         self.node_stderr = (
             np.zeros_like(values) if node_stderr is None else np.asarray(node_stderr)
         )
+        if np.any(self.node_stderr > 0) and samples <= 0:
+            raise ValueError("node_stderr > 0 needs the sample count that produced it")
+        self.samples = int(samples)
         self.dim = rule.dim
         self.bounding_radius = float(values.max()) * 1.001
         # rows: rings in increasing polar angle; columns: azimuth nodes
@@ -445,22 +452,17 @@ class NumericSupport(ConvexBody):
     def polar_volume(self):
         """Volume of the polar body by radial quadrature on the own rule
         (the polar radial function is 1/h), with node noise propagated."""
-        from .estimate import Estimate
-
         n = self.dim
         val = self.rule.integrate(self.values ** (-n)) / n
         # node estimates share one sample batch, so their errors are
         # positively correlated: propagate with the conservative L1 bound
         err = float(np.sum(self.rule.weights * self.values ** (-n - 1) * self.node_stderr))
-        method = "monte-carlo" if err > 0 else "quadrature"
-        return Estimate(val, err, len(self.values), method)
+        return self._estimate(val, err)
 
     def body_volume(self):
         """Volume of the body itself: radial quadrature of 1/gauge, with
         the gauge induced by the support values (facet representation).
         Node noise is propagated through the active facet of each ray."""
-        from .estimate import Estimate
-
         rule = sphere_rule(self.dim, 1024 if self.dim == 2 else 96)
         n = self.dim
         scores = (rule.nodes @ self.rule.nodes.T) / self.values[None, :]
@@ -472,8 +474,12 @@ class NumericSupport(ConvexBody):
         np.add.at(grad, active, rule.weights * r**n / self.values[active])
         # correlated node errors (shared sample batch): L1 propagation
         err = float(np.sum(np.abs(grad) * self.node_stderr))
-        method = "monte-carlo" if err > 0 else "quadrature"
-        return Estimate(val, err, len(self.values), method)
+        return self._estimate(val, err)
+
+    def _estimate(self, val: float, err: float) -> Estimate:
+        if err > 0:
+            return Estimate(val, err, self.samples, MONTE_CARLO)
+        return quad_estimate(val)
 
     def __repr__(self):
         return f"NumericSupport(n={self.dim}, nodes={len(self.values)})"

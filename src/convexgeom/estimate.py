@@ -9,7 +9,10 @@ gates (3-sigma bands) are computed.
 Every Monte-Carlo integral in the package draws its samples through
 :func:`mc_draws` (scalar integrands) or :func:`mc_direction_moments`
 (one integrand per sphere-rule node), so the chunking and reduction
-policy lives here.
+policy lives here.  A draw holds one chunk of ``rng.CHUNK`` samples;
+a direction-resolved integrand is evaluated on one block of
+``rng.NODE_BLOCK`` nodes at a time, so its peak memory is one chunk
+times one node block, whatever the budget or the node count.
 """
 
 from __future__ import annotations
@@ -105,6 +108,8 @@ class Estimate:
 
     def __truediv__(self, other) -> "Estimate":
         o = self._coerce(other)
+        if o.value == 0:
+            raise ZeroDivisionError(f"{self!r} divided by the zero-valued {o!r}")
         v = self.value / o.value
         err = abs(v) * math.hypot(
             self.stderr / self.value if self.value != 0 else 0.0,
@@ -177,19 +182,32 @@ def mc_draws(gen: np.random.Generator, budget: int, draw) -> np.ndarray:
     return np.concatenate([draw(gen, size) for size in rngmod.chunked(budget)])
 
 
-def mc_direction_moments(gen: np.random.Generator, budget: int, draw):
+def mc_direction_moments(gen: np.random.Generator, budget: int, nodes, draw):
     """Per-node sample mean, its standard error and the sample count.
 
-    ``draw(gen, size)`` returns a (size, nodes) array: one integrand
-    value per sample and sphere-rule node.  Only the running sums of the
-    values and of their squares are kept, so memory stays at one chunk.
+    ``draw(gen, size)`` samples one chunk and returns ``values``, where
+    ``values(block)`` is the (size, len(block)) array of integrand values
+    of that chunk at a block of rows of ``nodes``.  The nodes are visited
+    in blocks of ``rng.NODE_BLOCK`` and only per-node running sums of the
+    values and of their squares are kept, so memory stays at one chunk
+    times one node block.  Each column is reduced row by row in chunk
+    order, so the result does not depend on the block width.
     """
-    acc = acc2 = 0.0
+    count = len(nodes)
+    edges = list(range(0, count, rngmod.NODE_BLOCK)) + [count]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        # a one-column block would be summed pairwise, not row by row
+        del edges[-2]
+    acc = np.zeros(count)
+    acc2 = np.zeros(count)
     total = 0
     for size in rngmod.chunked(budget):
-        vals = draw(gen, size)
-        acc = acc + vals.sum(axis=0)
-        acc2 = acc2 + (vals**2).sum(axis=0)
+        values = draw(gen, size)
+        for lo, hi in zip(edges, edges[1:]):
+            vals = values(nodes[lo:hi])
+            acc[lo:hi] += vals.sum(axis=0)
+            np.square(vals, out=vals)
+            acc2[lo:hi] += vals.sum(axis=0)
         total += size
     mean = acc / total
     sem = np.sqrt(np.clip(acc2 / total - mean**2, 0.0, None) / total)

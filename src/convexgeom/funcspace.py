@@ -717,13 +717,13 @@ def N_p_function_body(
         else:
             pts = [l.sample_box(gen, size) for l in ls]
             w = np.prod([l(x) for l, x in zip(ls, pts)], axis=0)
-        return w[:, None] * _det_with_direction(pts, rule.nodes) ** p
+        return lambda block: w[:, None] * _det_with_direction(pts, block) ** p
 
-    mean, sem, _ = mc_direction_moments(gen, budget, draw)
+    mean, sem, total = mc_direction_moments(gen, budget, rule.nodes, draw)
     mean, sem = mean * scale, sem * scale
     h = mean ** (1.0 / p)
     h_err = np.where(mean > 0, h / p * sem / np.maximum(mean, 1e-300), 0.0)
-    return NumericSupport(rule, h, node_stderr=h_err)
+    return NumericSupport(rule, h, node_stderr=h_err, samples=total)
 
 
 # ---------------------------------------------------------------------------

@@ -111,15 +111,15 @@ def N_p_body(
 
     def draw(gen, size):
         pts = [sample_uniform(L, gen, size) for L in bodies]
-        return _det_with_direction(pts, rule.nodes) ** p
+        return lambda block: _det_with_direction(pts, block) ** p
 
-    mean, sem, _ = mc_direction_moments(gen, budget, draw)
+    mean, sem, total = mc_direction_moments(gen, budget, rule.nodes, draw)
     volp = product(volume(L, budget=budget, seed=seed + i) for i, L in enumerate(bodies))
     hp = mean * volp.value
     hp_err = np.sqrt((volp.value * sem) ** 2 + (mean * volp.stderr) ** 2)
     h = hp ** (1.0 / p)
     h_err = np.where(hp > 0, h / p * hp_err / np.maximum(hp, 1e-300), 0.0)
-    return NumericSupport(rule, h, node_stderr=h_err)
+    return NumericSupport(rule, h, node_stderr=h_err, samples=total)
 
 
 def _det_with_direction(point_sets, directions) -> np.ndarray:
@@ -151,13 +151,14 @@ def centroid_body(
     gen = rngmod.substream(seed, "centroid", str(p), repr(L))
 
     def draw(gen, size):
-        return np.abs(sample_uniform(L, gen, size) @ rule.nodes.T) ** p
+        x = sample_uniform(L, gen, size)
+        return lambda block: np.abs(x @ block.T) ** p
 
-    mean, sem, _ = mc_direction_moments(gen, budget, draw)
+    mean, sem, total = mc_direction_moments(gen, budget, rule.nodes, draw)
     c = c_np(n, p).value
     h = (mean / c) ** (1.0 / p)
     h_err = np.where(mean > 0, h / p * sem / np.maximum(mean, 1e-300), 0.0)
-    return NumericSupport(rule, h, node_stderr=h_err)
+    return NumericSupport(rule, h, node_stderr=h_err, samples=total)
 
 
 # ---------------------------------------------------------------------------

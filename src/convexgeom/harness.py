@@ -637,14 +637,9 @@ def _polar_projection_norm(f: CompactFunction, p: float, budget: int, seed: int)
 
     def draw(gen, size):
         dirs, w = sm.sample(gen, size)
-        # one (size, nodes) array, updated in place to bound peak memory
-        vals = dirs @ rule.nodes.T
-        np.abs(vals, out=vals)
-        vals **= p
-        vals *= w[:, None]
-        return vals
+        return lambda block: np.abs(dirs @ block.T) ** p * w[:, None]
 
-    m, sem, total = mc_direction_moments(gen, budget, draw)
+    m, sem, total = mc_direction_moments(gen, budget, rule.nodes, draw)
     integral = rule.integrate(m ** (-n / p))
     val = integral ** (-1.0 / n)
     # d val / d m_j = val / n * (n/p) * w_j m_j^{-n/p-1} / integral

@@ -8,7 +8,9 @@ stream on its function name, its parameters and the ``repr`` (or label)
 of its bodies or functions, and draws ``chunked`` fixed-size chunks in
 order from that one generator through
 :func:`convexgeom.estimate.mc_draws` or
-:func:`convexgeom.estimate.mc_direction_moments`.  Results are therefore
+:func:`convexgeom.estimate.mc_direction_moments`; the latter evaluates
+each chunk on ``NODE_BLOCK`` sphere-rule nodes at a time, so a draw holds
+at most one chunk times one node block.  Results are therefore
 bit-reproducible for a given seed and budget, whatever the thread count.
 """
 
@@ -21,6 +23,7 @@ import numpy as np
 
 DEFAULT_SEED = 42
 CHUNK = 1 << 16
+NODE_BLOCK = 64
 
 
 def _key_to_ints(key: str) -> list[int]:

@@ -147,9 +147,22 @@ class TestNumericSupport:
     def test_node_noise_propagates(self):
         rule = sphere_rule(2, 256)
         vals = np.ones(len(rule.nodes))
-        noisy = NumericSupport(rule, vals, node_stderr=0.01 * vals)
+        noisy = NumericSupport(rule, vals, node_stderr=0.01 * vals, samples=500)
         assert noisy.polar_volume().stderr > 0
         assert noisy.body_volume().stderr > 0
+        assert noisy.polar_volume().samples == noisy.body_volume().samples == 500
+
+    def test_noise_free_volumes_report_no_samples(self):
+        rule = sphere_rule(2, 256)
+        N = NumericSupport(rule, np.ones(len(rule.nodes)))
+        assert N.polar_volume().samples == N.body_volume().samples == 0
+        assert N.polar_volume().method == "quadrature"
+
+    def test_node_noise_without_samples_raises(self):
+        rule = sphere_rule(2, 256)
+        vals = np.ones(len(rule.nodes))
+        with pytest.raises(ValueError, match="sample count"):
+            NumericSupport(rule, vals, node_stderr=0.01 * vals)
 
     def test_scaled_ball_volume(self):
         rule = sphere_rule(3, 64)

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from convexgeom.estimate import Estimate, closed, from_samples, quad_estimate
+from convexgeom import rng as rngmod
+from convexgeom.estimate import (
+    Estimate,
+    closed,
+    from_samples,
+    mc_direction_moments,
+    quad_estimate,
+)
 
 finite = st.floats(min_value=0.1, max_value=100.0, allow_nan=False)
 errs = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
@@ -69,6 +76,14 @@ class TestArithmetic:
         assert (a**2).stderr == pytest.approx(0.01)
         assert (a**0.5).stderr == pytest.approx(0.1**0.5)
 
+    def test_division_by_zero_names_both_operands(self):
+        num, den = mc(2.0, 0.1), Estimate(0.0, 0.2, 10, "monte-carlo")
+        with pytest.raises(ZeroDivisionError) as info:
+            num / den
+        assert repr(num) in str(info.value) and repr(den) in str(info.value)
+        with pytest.raises(ZeroDivisionError, match="closed-form"):
+            num / 0.0
+
     def test_sum_and_difference(self):
         a, b = mc(2.0, 0.3), mc(1.0, 0.4)
         assert (a + b).value == 3.0
@@ -99,3 +114,32 @@ class TestWithin:
 
     def test_quad_estimate_is_exact_method(self):
         assert quad_estimate(3.0).stderr == 0.0
+
+
+class TestDirectionMoments:
+    @staticmethod
+    def _draw(gen, size):
+        x = gen.standard_normal((size, 3))
+        return lambda block: np.abs(x @ block.T) ** 1.5
+
+    @pytest.mark.parametrize("count", [100, rngmod.NODE_BLOCK + 1])
+    def test_blocked_sums_equal_one_array_reference(self, count):
+        # neither node count is a multiple of the block width, and the
+        # second chunk of the budget is short
+        nodes = np.random.default_rng(3).standard_normal((count, 3))
+        nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
+        budget = rngmod.CHUNK + 1000
+        mean, sem, total = mc_direction_moments(
+            rngmod.substream(5, "blocks"), budget, nodes, self._draw
+        )
+        gen = rngmod.substream(5, "blocks")
+        acc = acc2 = 0.0
+        for size in rngmod.chunked(budget):
+            vals = self._draw(gen, size)(nodes)
+            acc = acc + vals.sum(axis=0)
+            acc2 = acc2 + (vals**2).sum(axis=0)
+        ref_mean = acc / budget
+        ref_sem = np.sqrt(np.clip(acc2 / budget - ref_mean**2, 0.0, None) / budget)
+        assert total == budget
+        assert (mean == ref_mean).all()
+        assert (sem == ref_sem).all()

@@ -2,6 +2,7 @@
 surface measures, centroid and projection bodies."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,8 @@ from convexgeom.functionals import (
     projection_body,
     surface_measure,
 )
-from convexgeom.harness import corpus
+from convexgeom.funcspace import normalized_sobolev_extremal
+from convexgeom.harness import _polar_projection_norm, corpus
 from convexgeom.sphere import sample_sphere, sphere_rule
 
 
@@ -123,6 +125,10 @@ class TestMomentBody:
         N = N_p_body([Ball(1.0, 2)], 2.0, budget=1 << 16, seed=10)
         assert np.std(N.values) <= 3 * np.max(N.node_stderr)
 
+    def test_polar_volume_reports_the_budget(self):
+        N = N_p_body([Ball(1.0, 2)], 2.0, budget=5000, seed=10)
+        assert N.polar_volume().samples == 5000
+
     def test_equivalence_identity_balls(self):
         est = equivalence_check([Ball(1.0, 2)] * 2, 2.0, budget=1 << 16, seed=11)
         assert est.within(1.0)
@@ -143,6 +149,38 @@ class TestCentroidBody:
         G = centroid_body(E, 2.0, budget=1 << 17, seed=14)
         h = E.support(G.rule.nodes)
         assert np.allclose(G.values / h, 1.0, atol=0.02)
+
+
+def _traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+class TestDirectionKernelMemory:
+    """At n=3 a whole-grid integrand is (samples x 1152 nodes); the
+    kernels hold one chunk times one node block of it instead."""
+
+    BUDGET = 1 << 17
+    LIMIT_MIB = 150
+
+    def test_moment_body(self):
+        bodies = [Ball(1.0, 3), Ellipsoid(np.diag([1.25, 0.8, 1.0]))]
+        peak = _traced_peak_mib(lambda: N_p_body(bodies, 2.0, budget=self.BUDGET, seed=1))
+        assert peak < self.LIMIT_MIB
+
+    def test_centroid_body(self):
+        E = Ellipsoid(np.diag([1.25, 0.8, 1.0]))
+        peak = _traced_peak_mib(lambda: centroid_body(E, 2.0, budget=self.BUDGET, seed=1))
+        assert peak < self.LIMIT_MIB
+
+    def test_polar_projection_norm(self):
+        f = normalized_sobolev_extremal(Ball(1.0, 3), 2.0)
+        peak = _traced_peak_mib(lambda: _polar_projection_norm(f, 2.0, self.BUDGET, 1))
+        assert peak < self.LIMIT_MIB
 
 
 class TestProjectionBody:
