@@ -15,8 +15,8 @@ from convexgeom.constants import b_np
 from convexgeom.functionals import I_p
 
 n, p = 2, 2.0
-b = b_np(n, p).estimate()
-print(f"b_np(n={n}, p={p:g}) = {b.value:.6f} +- {b.stderr:.1e}")
+b = b_np(n, p).value
+print(f"b_np(n={n}, p={p:g}) = {b:.6f}")
 
 bodies = {
     "ball": Ball(1.0, n),

@@ -44,7 +44,6 @@ def _parse_lambda(text: str) -> float:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--n", type=int, default=2, help="ambient dimension (2 or 3)")
     sub.add_argument("--p", type=float, default=2.0, help="moment exponent p >= 1")
-    sub.add_argument("--seed", type=int, default=rngmod.DEFAULT_SEED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -53,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sp.add_parser("verify", help="run the verification harness")
     _add_common(v)
+    v.add_argument("--seed", type=int, default=rngmod.DEFAULT_SEED)
     v.add_argument("--corpus", default="standard", choices=["standard", "smooth"])
     v.add_argument("--lambda", dest="lam", type=_parse_lambda, default=2.0,
                    help="Orlicz parameter; 'inf' for the sup-norm case")
@@ -97,6 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pr = sp.add_parser("probe", help="search a report-only case for small ratios")
     _add_common(pr)
+    pr.add_argument("--seed", type=int, default=rngmod.DEFAULT_SEED)
     pr.add_argument("--ineq", required=True, help="case id to probe")
     pr.add_argument("--lambda", dest="lam", type=_parse_lambda, default=2.0)
     pr.add_argument("--search", default="random-polytopes",
@@ -157,11 +158,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    table = derived_constants(args.n, args.p, lam=args.lam, seed=args.seed)
+    table = derived_constants(args.n, args.p, lam=args.lam)
     out = {name: rec.to_json() for name, rec in table.items()}
     if args.dump:
         out["_cache"] = [rec.to_json() for rec in cache().records()]
-    json.dump(out, sys.stdout, indent=2)
+    json.dump(out, sys.stdout, indent=2, allow_nan=False)
     print()
     return 0
 

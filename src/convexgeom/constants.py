@@ -2,23 +2,22 @@
 
 Constants that the literature only gives by reference are never
 transcribed from outside sources: they are derived inside the package
-from their defining equality cases (high-budget Monte Carlo on balls,
-or 1-D radial quadrature), and carry provenance plus a standard error
-in their records.  One-dimensional quadratures are the precision
-anchor; they target 1e-10 absolute tolerance.
+from their defining equality cases on balls, either in closed form
+(gamma functions) or by 1-D radial quadrature, and carry their
+provenance in their records.  One-dimensional quadratures are the
+precision anchor; they target 1e-10 absolute tolerance.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gamma
+from scipy.special import beta, gamma, gammaln
 
-from .estimate import Estimate, MONTE_CARLO
+from .estimate import CLOSED_FORM, QUADRATURE
 
 QUAD_TOL = 1e-10
 
@@ -49,17 +48,14 @@ class ConstantRecord:
     name: str
     params: dict
     value: float
-    provenance: str  # "closed-form" or "derived-oracle"
+    provenance: str  # the method tag: "closed-form" or "quadrature"
     oracle: str = ""
-    stderr: float = 0.0
-
-    def estimate(self) -> Estimate:
-        if self.stderr > 0:
-            return Estimate(self.value, self.stderr, 1, MONTE_CARLO)
-        return Estimate(self.value)
 
     def to_json(self) -> dict:
-        return asdict(self)
+        # strict JSON: an infinite parameter is written "inf", as in reports
+        out = asdict(self)
+        out["params"] = {k: "inf" if v == math.inf else v for k, v in self.params.items()}
+        return out
 
 
 class ConstantCache:
@@ -80,10 +76,6 @@ class ConstantCache:
     def records(self) -> list[ConstantRecord]:
         return list(self._store.values())
 
-    def dump(self, path):
-        with open(path, "w") as fh:
-            json.dump([r.to_json() for r in self.records()], fh, indent=2)
-
 
 _CACHE = ConstantCache()
 
@@ -95,21 +87,18 @@ _CACHE = ConstantCache()
 def c_np(n: int, p: float) -> ConstantRecord:
     """Normalizer making the p-th centroid body of the ball the ball itself.
 
-    c_{n,p} = omega_n^{-1} * integral over the unit ball of |x_1|^p.
+    c_{n,p} = omega_n^{-1} * integral over the unit ball of |x_1|^p
+            = omega_{n-1} * B((p+1)/2, (n+1)/2) / omega_n  (slice the ball).
     """
 
     def compute():
-        # slice the ball: integral |x1|^p = omega_{n-1} * int_{-1}^{1} |t|^p (1-t^2)^{(n-1)/2} dt
         w = omega_n(n - 1) if n >= 2 else 1.0
-        val, _ = quad(
-            lambda t: t**p * (1 - t * t) ** ((n - 1) / 2), 0, 1, epsabs=QUAD_TOL
-        )
         return ConstantRecord(
             "c_np",
             {"n": n, "p": p},
-            2 * w * val / omega_n(n),
-            "closed-form",
-            "1-D beta-function quadrature of the ball slice integral",
+            w * beta((p + 1) / 2, (n + 1) / 2) / omega_n(n),
+            CLOSED_FORM,
+            "beta function of the ball slice integral",
         )
 
     return _CACHE.get_or_compute("c_np", compute, n=n, p=p)
@@ -125,19 +114,19 @@ def moment_profile(p: float, lam: float):
     return lambda t: (1.0 + np.abs(t) ** p) ** (1.0 / (lam - 1))
 
 
-def moment_profile_support(p: float, lam: float, n: int, tail_tol: float = 1e-12) -> float:
+def moment_profile_support(p: float, lam: float, n: int) -> float:
     """Truncation radius for the profile (exact 1 for lam >= 1 branches)."""
     if lam == math.inf or lam > 1:
         return 1.0
     # decay t^{p/(lam-1)}: pick T so the n+p-moment tail is negligible
     decay = p / (1 - lam)  # positive
     T = 10.0
-    while T ** (n + p - decay) / max(decay - n - p, 1e-9) > tail_tol and T < 1e8:
+    while T ** (n + p - decay) / max(decay - n - p, 1e-9) > 1e-12 and T < 1e8:
         T *= 2.0
     return T
 
 
-def moment_constant(n: int, p: float, lam: float, tol: float = QUAD_TOL) -> ConstantRecord:
+def moment_constant(n: int, p: float, lam: float) -> ConstantRecord:
     """Sharp constant of the functional dual-mixed-volume (moment) bound,
     derived by evaluating the bound at its radial extremal on the ball.
 
@@ -150,15 +139,15 @@ def moment_constant(n: int, p: float, lam: float, tol: float = QUAD_TOL) -> Cons
                 "moment_constant",
                 {"n": n, "p": p, "lam": lam},
                 1.0,
-                "closed-form",
+                CLOSED_FORM,
                 "indicator extremal, exact",
             )
         lamp = holder_conjugate(lam)
         g = moment_profile(p, lam)
         T = np.inf if lam < 1 else 1.0
-        r1, _ = quad(lambda r: r ** (n - 1) * g(r), 0, T, epsabs=tol)
-        rl, _ = quad(lambda r: r ** (n - 1) * g(r) ** lam, 0, T, epsabs=tol)
-        rp, _ = quad(lambda r: r ** (n + p - 1) * g(r), 0, T, epsabs=tol)
+        r1, _ = quad(lambda r: r ** (n - 1) * g(r), 0, T, epsabs=QUAD_TOL)
+        rl, _ = quad(lambda r: r ** (n - 1) * g(r) ** lam, 0, T, epsabs=QUAD_TOL)
+        rp, _ = quad(lambda r: r ** (n + p - 1) * g(r), 0, T, epsabs=QUAD_TOL)
         nw = n * omega_n(n)
         vtil = (n + p) / n * nw * rp
         l1 = nw * r1
@@ -172,7 +161,7 @@ def moment_constant(n: int, p: float, lam: float, tol: float = QUAD_TOL) -> Cons
             "moment_constant",
             {"n": n, "p": p, "lam": lam},
             value,
-            "derived-oracle",
+            QUADRATURE,
             "radial quadrature of the moment bound at its ball extremal",
         )
 
@@ -196,7 +185,7 @@ def sobolev_profile_deriv(p: float, n: int):
     return lambda t: c * np.abs(t) ** (q - 1) * (1.0 + np.abs(t) ** q) ** (-n / p) * np.sign(t)
 
 
-def cnv_np(n: int, p: float, tol: float = QUAD_TOL) -> ConstantRecord:
+def cnv_np(n: int, p: float) -> ConstantRecord:
     """Sharp constant of the functional mixed-volume (Sobolev) bound,
     derived by evaluating the bound at its radial extremal on the ball.
 
@@ -206,13 +195,13 @@ def cnv_np(n: int, p: float, tol: float = QUAD_TOL) -> ConstantRecord:
     def compute():
         if p == 1:
             return ConstantRecord(
-                "cnv_np", {"n": n, "p": p}, 1.0, "closed-form", "indicator extremal, exact"
+                "cnv_np", {"n": n, "p": p}, 1.0, CLOSED_FORM, "indicator extremal, exact"
             )
         F = sobolev_profile(p, n)
         dF = sobolev_profile_deriv(p, n)
         pstar = n * p / (n - p)
-        grad_int, _ = quad(lambda r: r ** (n - 1) * np.abs(dF(r)) ** p, 0, np.inf, epsabs=tol)
-        norm_int, _ = quad(lambda r: r ** (n - 1) * F(r) ** pstar, 0, np.inf, epsabs=tol)
+        grad_int, _ = quad(lambda r: r ** (n - 1) * np.abs(dF(r)) ** p, 0, np.inf, epsabs=QUAD_TOL)
+        norm_int, _ = quad(lambda r: r ** (n - 1) * F(r) ** pstar, 0, np.inf, epsabs=QUAD_TOL)
         nw = n * omega_n(n)
         lhs = (1.0 / n) * nw * grad_int
         rhs = (nw * norm_int) ** (p / pstar) * omega_n(n) ** (p / n)
@@ -220,7 +209,7 @@ def cnv_np(n: int, p: float, tol: float = QUAD_TOL) -> ConstantRecord:
             "cnv_np",
             {"n": n, "p": p},
             lhs / rhs,
-            "derived-oracle",
+            QUADRATURE,
             "radial quadrature of the Sobolev bound at its ball extremal",
         )
 
@@ -231,10 +220,10 @@ def sobolev_constant(n: int, p: float) -> ConstantRecord:
     """Euclidean sharp Sobolev constant (n * cnv * omega_n^{p/n})^{-1/p}."""
 
     def compute():
-        cnv = cnv_np(n, p).value
-        val = (n * cnv * omega_n(n) ** (p / n)) ** (-1.0 / p)
+        cnv = cnv_np(n, p)
+        val = (n * cnv.value * omega_n(n) ** (p / n)) ** (-1.0 / p)
         return ConstantRecord(
-            "sobolev_constant", {"n": n, "p": p}, val, "derived-oracle", "from cnv_np"
+            "sobolev_constant", {"n": n, "p": p}, val, cnv.provenance, "from cnv_np"
         )
 
     return _CACHE.get_or_compute("sobolev_constant", compute, n=n, p=p)
@@ -291,91 +280,73 @@ def levelset_constant_minimized(n: int, p: float, lam: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo-derived constants
+# random-simplex constants
 
 
-def b_np(n: int, p: float, budget: int = 400_000, seed: int = 7) -> ConstantRecord:
-    """Sharp random-simplex constant, derived from the ball equality case:
-    b = I_p(B, ..., B) / omega_n^{n+p}."""
+def _sphere_det_moment(n: int, p: float) -> float:
+    """E|det(u_1, ..., u_n)|^p for i.i.d. uniform directions u_i.
+
+    Writing each direction as a Gaussian vector over its norm,
+    prod_{i=1..n} Gamma((i+p)/2)/Gamma(i/2) * [Gamma(n/2)/Gamma((n+p)/2)]^n
+    (R. E. Miles, "Isotropic random simplices", Adv. Appl. Prob. 3, 1971).
+    """
+    i = np.arange(1, n + 1)
+    log_s = np.sum(gammaln((i + p) / 2) - gammaln(i / 2))
+    log_s += n * (gammaln(n / 2) - gammaln((n + p) / 2))
+    return float(np.exp(log_s))
+
+
+def b_np(n: int, p: float) -> ConstantRecord:
+    """Sharp random-simplex constant from the ball equality case:
+    b = I_p(B, ..., B) / omega_n^{n+p}.
+
+    A uniform point of B is a direction times an independent radius with
+    E r^p = n/(n+p), so b = (n/(n+p))^n * E|det(u_1..u_n)|^p / omega_n^p.
+    """
 
     def compute():
-        from .bodies import Ball
-        from .functionals import I_p
-
-        ball = Ball(1.0, n)
-        est = I_p([ball] * n, p, budget=budget, seed=seed)
-        val = est / omega_n(n) ** (n + p)
-        if val.stderr > 0.02 * abs(val.value):
-            raise RuntimeError(
-                f"b_np stderr {val.stderr:g} above tolerance; raise the budget"
-            )
+        val = (n / (n + p)) ** n * _sphere_det_moment(n, p) / omega_n(n) ** p
         return ConstantRecord(
-            "b_np",
-            {"n": n, "p": p, "seed": seed, "budget": budget},
-            val.value,
-            "derived-oracle",
-            "Monte-Carlo random-simplex moment on balls",
-            stderr=val.stderr,
+            "b_np", {"n": n, "p": p}, val, CLOSED_FORM,
+            "random-simplex moment on balls, gamma functions",
         )
 
-    return _CACHE.get_or_compute("b_np", compute, n=n, p=p, seed=seed, budget=budget)
+    return _CACHE.get_or_compute("b_np", compute, n=n, p=p)
 
 
-def b_np_dual(
-    n: int, p: float, budget: int = 400_000, seed: int = 7
-) -> ConstantRecord:
+def b_np_dual(n: int, p: float) -> ConstantRecord:
     """Conjectural dual constant from the ball case:
-    bbar = Itilde_p(B, ..., B) / omega_n^{n-p}."""
+    bbar = Itilde_p(B, ..., B) / omega_n^{n-p}
+         = (n omega_n)^n * E|det(u_1..u_n)|^p / omega_n^{n-p}."""
 
     def compute():
-        from . import rng as rngmod
-        from .estimate import from_samples, mc_draws
-        from .functionals import det_volume_many
-        from .sphere import sample_sphere
-
-        gen = rngmod.substream(seed, "b_np_dual", str(n), str(p))
-
-        def draw(gen, size):
-            return det_volume_many([sample_sphere(gen, n, size) for _ in range(n)]) ** p
-
-        nw = n * omega_n(n)
-        est = from_samples(mc_draws(gen, budget, draw), scale=nw**n)
-        val = est / omega_n(n) ** (n - p)
+        val = (n * omega_n(n)) ** n * _sphere_det_moment(n, p) / omega_n(n) ** (n - p)
         return ConstantRecord(
-            "b_np_dual",
-            {"n": n, "p": p, "seed": seed, "budget": budget},
-            val.value,
-            "derived-oracle",
-            "Monte-Carlo dual random-simplex moment on ball surface measures",
-            stderr=val.stderr,
+            "b_np_dual", {"n": n, "p": p}, val, CLOSED_FORM,
+            "dual random-simplex moment on ball surface measures, gamma functions",
         )
 
-    return _CACHE.get_or_compute("b_np_dual", compute, n=n, p=p, seed=seed, budget=budget)
+    return _CACHE.get_or_compute("b_np_dual", compute, n=n, p=p)
 
 
-def derived_constants(
-    n: int, p: float, lam: float | None = None, seed: int = 7, budget: int = 400_000
-) -> dict[str, ConstantRecord]:
-    """Arithmetic combinations of the base constants, with error propagation.
+def derived_constants(n: int, p: float, lam: float | None = None) -> dict[str, ConstantRecord]:
+    """Arithmetic combinations of the base constants.
 
     Returns records for a_np (isoperimetric), btilde_np (dual
     random-simplex), A/B (functional forms, when lam is given), the
     Sobolev constant and the conjectured projection bound.
     """
-    b = b_np(n, p, budget=budget, seed=seed)
-    be = b.estimate()
+    b = b_np(n, p)
     out: dict[str, ConstantRecord] = {"b_np": b}
 
-    a = ((n + p) / n * be) ** (-n / p)
-    out["a_np"] = ConstantRecord(
-        "a_np", {"n": n, "p": p}, a.value, "derived-oracle", "from b_np", stderr=a.stderr
-    )
-    bt = be * ((n + p) ** n / n ** (n + p))
+    a = ((n + p) / n * b.value) ** (-n / p)
+    out["a_np"] = ConstantRecord("a_np", {"n": n, "p": p}, a, CLOSED_FORM, "from b_np")
+    bt = b.value * ((n + p) ** n / n ** (n + p))
     out["btilde_np"] = ConstantRecord(
-        "btilde_np", {"n": n, "p": p}, bt.value, "derived-oracle", "from b_np", stderr=bt.stderr
+        "btilde_np", {"n": n, "p": p}, bt, CLOSED_FORM, "from b_np"
     )
     out["petty_bound"] = ConstantRecord(
-        "petty_bound", {"n": n}, petty_bound(n), "closed-form", "gamma functions"
+        "petty_bound", {"n": n}, petty_bound(n), CLOSED_FORM, "gamma functions"
     )
     if p < n:
         out["S_np"] = sobolev_constant(n, p)
@@ -387,29 +358,27 @@ def derived_constants(
         out["A_nplam"] = ConstantRecord(
             "A_nplam",
             {"n": n, "p": p, "lam": lam},
-            A.value,
-            "derived-oracle",
+            A,
+            ct.provenance,
             "a_np * moment_constant^{-n(n-1)/p}",
-            stderr=A.stderr,
         )
         B = (n / (n + p)) * ct.value * A ** (-p / n)
         out["B_nplam"] = ConstantRecord(
             "B_nplam",
             {"n": n, "p": p, "lam": lam},
-            B.value,
-            "derived-oracle",
+            B,
+            ct.provenance,
             "n/(n+p) * moment_constant * A^{-p/n}",
-            stderr=B.stderr,
         )
     return out
 
 
-def rsid_f_constant(n: int, p: float, alpha: float, seed: int = 7, budget: int = 400_000):
+def rsid_f_constant(n: int, p: float, alpha: float) -> ConstantRecord:
     """Constant of the functional dual random-simplex bound:
     b_np * (n+p)^n * (alpha^{p/((n+p)(alpha-1))} L_{n,p,lam} / n)^{n+p}
     with lam = 1 + (alpha-1)(n+1) p / (n+p)."""
     lam = reparam_alpha_to_lambda(alpha, n, p)
-    b = b_np(n, p, seed=seed, budget=budget).estimate()
+    b = b_np(n, p).value
     # the (n+p)^n factor comes from the star-body change of variables; the
     # alpha = inf limit then reduces exactly to the set-version constant.
     # The alpha prefactor per function is alpha^{p/((n+p)(alpha-1))}: the
@@ -425,10 +394,9 @@ def rsid_f_constant(n: int, p: float, alpha: float, seed: int = 7, budget: int =
     return ConstantRecord(
         "rsid_f_constant",
         {"n": n, "p": p, "alpha": alpha},
-        val.value,
-        "derived-oracle",
+        val,
+        CLOSED_FORM,
         "b_np combined with the level-set constant",
-        stderr=val.stderr,
     )
 
 

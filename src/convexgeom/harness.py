@@ -290,7 +290,7 @@ def _body_tuples(bodies, n, count=3):
 
 def _rsi_s_instances(config: RunConfig):
     n, p = config.n, config.p
-    b = b_np(n, p).estimate()
+    b = b_np(n, p).value
     for label, tup in _body_tuples(corpus(config.corpus, n, config.seed), n):
 
         def ev(budget, seed, tup=tup):
@@ -303,7 +303,7 @@ def _rsi_s_instances(config: RunConfig):
 
 def _iso_s_instances(config: RunConfig):
     n, p = config.n, config.p
-    a = derived_constants(n, p)["a_np"].estimate()
+    a = derived_constants(n, p)["a_np"].value
     bodies = corpus(config.corpus, n, config.seed)
     tuples = [(repr(L), [L] * (n - 1)) for L in bodies[:3]]
     if n == 3:
@@ -413,8 +413,7 @@ def _petty_instances(config: RunConfig):
 
 def _rsid_s_instances(config: RunConfig):
     n, p = config.n, config.p
-    b = b_np(n, p).estimate()
-    btilde = b * ((n + p) ** n / n ** (n + p))
+    btilde = derived_constants(n, p)["btilde_np"].value
     bodies = corpus("smooth", n, config.seed)
     tuples = [(repr(L), [L] * n) for L in bodies[:2]]
     tuples.append(("mixed", [bodies[0], bodies[1]] + [bodies[0]] * (n - 2)))
@@ -487,7 +486,7 @@ def _iso_f_instances(config: RunConfig):
     if not _lambda_admissible(lam, n, p):
         return
     consts = derived_constants(n, p, lam)
-    A = consts["A_nplam"].estimate()
+    A = consts["A_nplam"].value
     lamp = holder_conjugate(lam)
     fs = function_corpus(config)
     tuples = [(fs[0].label, [fs[0]] * (n - 1))]
@@ -511,7 +510,7 @@ def _rsi_f_instances(config: RunConfig):
     if not _lambda_admissible(lam, n, p):
         return
     consts = derived_constants(n, p, lam)
-    B = consts["B_nplam"].estimate()
+    B = consts["B_nplam"].value
     lamp = holder_conjugate(lam)
     fs = function_corpus(config)
     tuples = [(fs[0].label, [fs[0]] * n), (fs[-1].label, [fs[-1]] * n)]
@@ -564,7 +563,7 @@ def _rsid_f_instances(config: RunConfig):
     alpha = reparam_lambda_to_alpha(lam, n, p)
     if alpha != math.inf and not (n / (n + 1) < alpha < 1 or alpha > 1):
         return
-    const = rsid_f_constant(n, p, alpha).estimate()
+    const = rsid_f_constant(n, p, alpha).value
     fs = function_corpus(config, smooth_only=True)
     for l in fs[:3]:
 
@@ -596,7 +595,7 @@ def _conj_5_1_instances(config: RunConfig):
     n, p = config.n, config.p
     if not 1 <= p < n:
         return
-    bbar = b_np_dual(n, p).estimate()
+    bbar = b_np_dual(n, p).value
     bodies = corpus("smooth", n, config.seed)
     for label, tup in _body_tuples(bodies, n, count=2):
 
@@ -612,7 +611,7 @@ def _sobolevish_5_5_instances(config: RunConfig):
     n, p = config.n, config.p
     if not 1 <= p < n:
         return
-    bbar = b_np_dual(n, p).estimate()
+    bbar = b_np_dual(n, p).value
     cnv = cnv_np(n, p).value
     C = bbar * cnv**n
     pstar = n * p / (n - p)

@@ -1,6 +1,7 @@
 """Smoke tests for the command-line surface."""
 
 import json
+import math
 
 import pytest
 
@@ -35,6 +36,24 @@ class TestConstants:
         out = json.loads(capsys.readouterr().out)
         assert rc == 0
         assert "b_np" in out and "a_np" in out
+
+    def test_table_is_strict_json_at_lambda_inf(self, capsys):
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        rc = main(["constants", "--n", "2", "--p", "1", "--lambda", "inf", "--dump"])
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rc == 0
+        assert out["A_nplam"]["params"]["lam"] == "inf"
+
+    def test_b_np_is_the_closed_form(self, capsys):
+        assert main(["constants", "--n", "2", "--p", "2"]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["b_np"]["value"] == pytest.approx(1 / (8 * math.pi**2), rel=1e-12)
+
+    def test_constants_takes_no_seed(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["constants", "--seed", "7"])
 
 
 class TestVerify:

@@ -2,8 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from convexgeom import rng as rngmod
+from convexgeom.bodies import Ball
 from convexgeom.constants import (
     b_np,
     b_np_dual,
@@ -21,6 +24,8 @@ from convexgeom.constants import (
     rsid_f_constant,
     sobolev_constant,
 )
+from convexgeom.functionals import I_p, det_volume_many
+from convexgeom.sphere import sample_sphere
 
 
 class TestOmegaN:
@@ -95,24 +100,40 @@ class TestDerivedClosure:
     def test_rsid_f_alpha_infinity_reduces_to_set_constant(self):
         n, p = 2, 2.0
         C = rsid_f_constant(n, p, math.inf)
-        b = b_np(n, p).estimate().value
+        b = b_np(n, p).value
         assert C.value == pytest.approx((n + p) ** n * b / n ** (n + p), rel=1e-9)
-
-    def test_cache_reproducible_across_seeds(self):
-        a = b_np(2, 2.0, seed=7, budget=300_000).estimate()
-        b = b_np(2, 2.0, seed=8, budget=300_000).estimate()
-        sigma = math.hypot(a.stderr, b.stderr)
-        assert abs(a.value - b.value) <= 3 * sigma
-
-    def test_b_np_dual_positive(self):
-        rec = b_np_dual(2, 1.0)
-        assert rec.value > 0 and rec.stderr < 0.01 * rec.value
 
     def test_c_np_normalizes_ball(self):
         # with c_np the p-centroid body of the unit ball is the unit ball
-        import numpy as np
-        from convexgeom.bodies import Ball
         from convexgeom.functionals import centroid_body
 
         G = centroid_body(Ball(1.0, 2), 2.0, budget=1 << 16, seed=3)
         assert np.allclose(G.values, 1.0, atol=5 * np.max(G.node_stderr) + 1e-3)
+
+
+ORACLE_BUDGET = 1 << 18
+
+
+class TestRandomSimplexClosedForms:
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_b_np_matches_monte_carlo_oracle(self, n, p):
+        est = I_p([Ball(1.0, n)] * n, p, budget=ORACLE_BUDGET, seed=31)
+        est = est / omega_n(n) ** (n + p)
+        assert abs(b_np(n, p).value - est.value) <= 3 * est.stderr
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+    def test_b_np_dual_matches_monte_carlo_oracle(self, n, p):
+        gen = rngmod.substream(32, "b_np_dual oracle", str(n), str(p))
+        dets = det_volume_many([sample_sphere(gen, n, ORACLE_BUDGET) for _ in range(n)]) ** p
+        scale = (n * omega_n(n)) ** n / omega_n(n) ** (n - p)
+        mean = scale * dets.mean()
+        sem = scale * dets.std(ddof=1) / math.sqrt(ORACLE_BUDGET)
+        assert abs(b_np_dual(n, p).value - mean) <= 3 * sem
+
+    def test_exact_values(self):
+        assert b_np(2, 2.0).value == pytest.approx(1 / (8 * math.pi**2), rel=1e-14)
+        assert b_np_dual(2, 1.0).value == pytest.approx(8.0, rel=1e-14)
+        for n in (2, 3):
+            assert c_np(n, 2.0).value == pytest.approx(1 / (n + 2), rel=1e-14)
