@@ -462,12 +462,22 @@ class NumericSupport(ConvexBody):
     def body_volume(self):
         """Volume of the body itself: radial quadrature of 1/gauge, with
         the gauge induced by the support values (facet representation).
-        Node noise is propagated through the active facet of each ray."""
+        Node noise is propagated through the active facet of each ray.
+
+        The (rays x facets) score matrix is built in blocks of rays, so
+        each temporary holds at most ``CHUNK * NODE_BLOCK`` floats, the
+        bound of the Monte-Carlo kernels."""
         rule = sphere_rule(self.dim, 1024 if self.dim == 2 else 96)
         n = self.dim
-        scores = (rule.nodes @ self.rule.nodes.T) / self.values[None, :]
-        active = np.argmax(scores, axis=1)
-        r = 1.0 / scores[np.arange(len(rule.nodes)), active]
+        rays = len(rule.nodes)
+        active = np.empty(rays, dtype=int)
+        r = np.empty(rays)
+        step = max(1, rngmod.CHUNK * rngmod.NODE_BLOCK // len(self.values))
+        for lo in range(0, rays, step):
+            scores = (rule.nodes[lo : lo + step] @ self.rule.nodes.T) / self.values[None, :]
+            best = np.argmax(scores, axis=1)
+            active[lo : lo + step] = best
+            r[lo : lo + step] = 1.0 / scores[np.arange(len(best)), best]
         val = rule.integrate(r**n) / n
         # d vol / d h_j = sum over rays with active facet j of w r^n / h_j
         grad = np.zeros(len(self.values))

@@ -32,7 +32,7 @@ import numpy as np
 from . import rng as rngmod
 from .bodies import Ball, Cube, Ellipsoid, LqBall, standard_simplex, volume
 from .constants import derived_constants, cache
-from .harness import RunConfig, case_ids, corpus, emit, emit_sweep, run, sweep
+from .harness import RunConfig, case_ids, emit, emit_sweep, run, sweep_configs
 
 
 def _parse_lambda(text: str) -> float:
@@ -128,17 +128,21 @@ def _verify_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    config = _verify_config(args)
+    param = "lam" if args.sweep == "lambda" else args.sweep
+    try:
+        config = _verify_config(args)
+        if args.sweep:
+            if not args.values:
+                raise ValueError("--sweep requires --values")
+            values = [int(v) if param in ("n", "samples", "seed", "max_doublings")
+                      else _parse_lambda(v) for v in args.values.split(",")]
+            configs = sweep_configs(config, param, values)
+    except ValueError as exc:
+        print(f"convexgeom verify: {exc}", file=sys.stderr)
+        return 2
     if args.sweep:
-        if not args.values:
-            print("--sweep requires --values", file=sys.stderr)
-            return 2
-        raw = args.values.split(",")
-        values = [int(v) if args.sweep in ("n", "samples", "seed") else _parse_lambda(v)
-                  for v in raw]
-        reports = sweep(config, "lam" if args.sweep == "lambda" else args.sweep, values)
-        paths = emit_sweep(reports, "lam" if args.sweep == "lambda" else args.sweep,
-                           args.sweep_dir)
+        reports = [run(c) for c in configs]
+        paths = emit_sweep(reports, param, args.sweep_dir)
         for path in paths:
             print(path)
         bad = [r for rep in reports for r in rep.failed]

@@ -11,8 +11,9 @@ Every Monte-Carlo integral in the package draws its samples through
 (one integrand per sphere-rule node), so the chunking and reduction
 policy lives here.  A draw holds one chunk of ``rng.CHUNK`` samples;
 a direction-resolved integrand is evaluated on one block of
-``rng.NODE_BLOCK`` nodes at a time, so its peak memory is one chunk
-times one node block, whatever the budget or the node count.
+``rng.NODE_BLOCK`` nodes at a time, so each of its temporaries is one
+chunk times one node block (8 MiB of floats), whatever the budget or
+the node count.
 """
 
 from __future__ import annotations

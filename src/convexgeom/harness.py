@@ -89,6 +89,7 @@ __all__ = [
     "run",
     "emit",
     "sweep",
+    "sweep_configs",
     "emit_sweep",
 ]
 
@@ -107,6 +108,17 @@ class RunConfig:
     target_rel_stderr: float = 0.01
     max_doublings: int = 3
     cases: list[str] | None = None
+
+    def __post_init__(self):
+        # flags, --config JSON and --sweep values all arrive here
+        if not (type(self.n) is int and self.n in (2, 3)):
+            raise ValueError(f"config n must be 2 or 3, got {self.n!r}")
+        if not (type(self.samples) is int and self.samples >= 1):
+            raise ValueError(f"config samples must be an integer >= 1, got {self.samples!r}")
+        if not (type(self.max_doublings) is int and self.max_doublings >= 0):
+            raise ValueError(
+                f"config max_doublings must be an integer >= 0, got {self.max_doublings!r}"
+            )
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -826,12 +838,12 @@ def emit(report: Report, json_path=None, csv_path=None) -> None:
 
 def sweep(config: RunConfig, param: str, values) -> list[Report]:
     """Re-run the configured cases for each value of one parameter."""
-    out = []
-    for v in values:
-        d = dict(config.__dict__)
-        d[param] = v
-        out.append(run(RunConfig(**d)))
-    return out
+    return [run(c) for c in sweep_configs(config, param, values)]
+
+
+def sweep_configs(config: RunConfig, param: str, values) -> list[RunConfig]:
+    """One config per value of ``param``, all validated before any run."""
+    return [RunConfig.from_dict({**config.__dict__, param: v}) for v in values]
 
 
 def emit_sweep(reports: list[Report], param: str, directory) -> list[str]:

@@ -10,8 +10,10 @@ order from that one generator through
 :func:`convexgeom.estimate.mc_draws` or
 :func:`convexgeom.estimate.mc_direction_moments`; the latter evaluates
 each chunk on ``NODE_BLOCK`` sphere-rule nodes at a time, so a draw holds
-at most one chunk times one node block.  Results are therefore
-bit-reproducible for a given seed and budget, whatever the thread count.
+at most one chunk times one node block: ``CHUNK * NODE_BLOCK`` floats,
+8 MiB, per temporary, and each worker thread holds its own.  Results are
+therefore bit-reproducible for a given seed and budget, whatever the
+thread count.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 DEFAULT_SEED = 42
 CHUNK = 1 << 16
-NODE_BLOCK = 64
+NODE_BLOCK = 16
 
 
 def _key_to_ints(key: str) -> list[int]:

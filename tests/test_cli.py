@@ -79,6 +79,31 @@ class TestVerify:
         assert rep["config"]["lam"] == "inf"
         assert {r["id"] for r in rep["results"]} == {"levelset"}
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--samples", "0"], "samples must be an integer >= 1, got 0"),
+            (["--samples", "-5"], "samples must be an integer >= 1, got -5"),
+            (["--n", "4"], "n must be 2 or 3, got 4"),
+            (["--max-doublings", "-1"], "max_doublings must be an integer >= 0, got -1"),
+            (["--sweep", "n", "--values", "2,4"], "n must be 2 or 3, got 4"),
+            (["--sweep", "samples"], "--sweep requires --values"),
+        ],
+    )
+    def test_bad_config_exits_2_naming_the_field(self, capsys, flags, message):
+        rc = main(["verify", "--cases", "levelset", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert message in captured.err
+        assert captured.out == ""
+
+    def test_bad_config_file_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": 0}))
+        rc = main(["verify", "--cases", "levelset", "--config", str(cfg)])
+        assert rc == 2
+        assert "samples must be an integer >= 1, got 0" in capsys.readouterr().err
+
 
 class TestProbe:
     def test_probe_unknown_case(self, capsys):

@@ -12,6 +12,7 @@ from convexgeom.bodies import (
     Cube,
     Ellipsoid,
     LqBall,
+    NumericSupport,
     Polytope,
     linear_image,
     standard_simplex,
@@ -30,7 +31,7 @@ from convexgeom.functionals import (
     surface_measure,
 )
 from convexgeom.funcspace import normalized_sobolev_extremal
-from convexgeom.harness import _polar_projection_norm, corpus
+from convexgeom.harness import RunConfig, _polar_projection_norm, corpus, run
 from convexgeom.sphere import sample_sphere, sphere_rule
 
 
@@ -162,13 +163,19 @@ def _traced_peak_mib(fn) -> float:
 
 class TestDirectionKernelMemory:
     """At n=3 a whole-grid integrand is (samples x 1152 nodes); the
-    kernels hold one chunk times one node block of it instead."""
+    kernels hold one chunk times one node block of it instead, a few
+    temporaries of CHUNK x NODE_BLOCK floats (8 MiB) each."""
 
     BUDGET = 1 << 17
-    LIMIT_MIB = 150
+    LIMIT_MIB = 48
 
     def test_moment_body(self):
         bodies = [Ball(1.0, 3), Ellipsoid(np.diag([1.25, 0.8, 1.0]))]
+        peak = _traced_peak_mib(lambda: N_p_body(bodies, 2.0, budget=self.BUDGET, seed=1))
+        assert peak < self.LIMIT_MIB
+
+    def test_moment_body_n2(self):
+        bodies = [Ellipsoid(np.diag([1.25, 0.8]))]
         peak = _traced_peak_mib(lambda: N_p_body(bodies, 2.0, budget=self.BUDGET, seed=1))
         assert peak < self.LIMIT_MIB
 
@@ -177,10 +184,30 @@ class TestDirectionKernelMemory:
         peak = _traced_peak_mib(lambda: centroid_body(E, 2.0, budget=self.BUDGET, seed=1))
         assert peak < self.LIMIT_MIB
 
+    def test_centroid_body_n2(self):
+        E = Ellipsoid(np.diag([1.25, 0.8]))
+        peak = _traced_peak_mib(lambda: centroid_body(E, 2.0, budget=self.BUDGET, seed=1))
+        assert peak < self.LIMIT_MIB
+
     def test_polar_projection_norm(self):
         f = normalized_sobolev_extremal(Ball(1.0, 3), 2.0)
         peak = _traced_peak_mib(lambda: _polar_projection_norm(f, 2.0, self.BUDGET, 1))
         assert peak < self.LIMIT_MIB
+
+    def test_body_volume_n3(self):
+        # 4608 rays against 1152 facets: a dense score matrix is 40 MiB,
+        # and its quotient by the support values as much again
+        E = Ellipsoid(np.diag([1.25, 0.8, 1.0]))
+        rule = sphere_rule(3, 48)
+        N = NumericSupport(rule, E.support(rule.nodes))
+        peak = _traced_peak_mib(N.body_volume)
+        assert peak < 32
+
+    def test_threads_hold_one_bound_each(self, monkeypatch):
+        monkeypatch.setenv("CONVEXGEOM_THREADS", "2")
+        cfg = RunConfig(n=2, cases=["iso_s", "bp_centroid"], samples=1 << 16, max_doublings=0)
+        peak = _traced_peak_mib(lambda: run(cfg))
+        assert peak < 2 * self.LIMIT_MIB
 
 
 class TestProjectionBody:

@@ -78,6 +78,27 @@ class TestConfig:
         with pytest.raises(ValueError):
             run(RunConfig(cases=["not_a_case"]))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("n", 4), ("n", 1), ("n", 2.0), ("samples", 0), ("samples", -5),
+         ("samples", 1024.5), ("max_doublings", -1), ("max_doublings", 1.0)],
+    )
+    def test_bad_field_names_itself_and_its_value(self, field, value):
+        with pytest.raises(ValueError, match=rf"config {field} .*got {value!r}$"):
+            RunConfig(**{field: value})
+        with pytest.raises(ValueError, match=f"config {field} "):
+            RunConfig.from_dict({field: value})
+
+    def test_sweep_validates_every_value_before_running(self, monkeypatch):
+        import convexgeom.harness as harness
+
+        def no_run(config):
+            raise AssertionError("ran before validating the sweep")
+
+        monkeypatch.setattr(harness, "run", no_run)
+        with pytest.raises(ValueError, match="config n must be 2 or 3, got 4"):
+            sweep(RunConfig(), "n", [2, 4])
+
 
 SMALL = dict(n=2, p=2.0, lam=2.0, samples=1 << 11, max_doublings=0)
 
