@@ -570,7 +570,7 @@ def volume(
             total += abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(body.dim)
         return quad_estimate(total)
     if method == "monte-carlo":
-        gen = rngmod.substream(seed, "volume", repr(body))
+        gen = rngmod.substream(seed, "volume", body)
         R = body.bounding_radius
 
         def draw(gen, size):

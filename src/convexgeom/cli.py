@@ -23,6 +23,7 @@ command-line flags.  The thread count is controlled by the
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -32,13 +33,19 @@ import numpy as np
 from . import rng as rngmod
 from .bodies import Ball, Cube, Ellipsoid, LqBall, standard_simplex, volume
 from .constants import derived_constants, cache
-from .harness import RunConfig, case_ids, emit, emit_sweep, run, sweep_configs
+from .harness import CORPORA, RunConfig, case_ids, emit, emit_sweep, run, sweep_configs
 
 
 def _parse_lambda(text: str) -> float:
     if text in ("inf", "infinity"):
         return math.inf
     return float(text)
+
+
+def _count(x: float):
+    """A whole --samples value as an int; anything else is left for
+    RunConfig to reject by name."""
+    return int(x) if x.is_integer() else x
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -53,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     v = sp.add_parser("verify", help="run the verification harness")
     _add_common(v)
     v.add_argument("--seed", type=int, default=rngmod.DEFAULT_SEED)
-    v.add_argument("--corpus", default="standard", choices=["standard", "smooth"])
+    v.add_argument("--corpus", default="standard", choices=CORPORA)
     v.add_argument("--lambda", dest="lam", type=_parse_lambda, default=2.0,
                    help="Orlicz parameter; 'inf' for the sup-norm case")
     v.add_argument("--samples", type=float, default=float(1 << 16),
@@ -115,7 +122,7 @@ def _verify_config(args: argparse.Namespace) -> RunConfig:
         "n": args.n,
         "p": args.p,
         "lam": args.lam,
-        "samples": int(args.samples),
+        "samples": _count(args.samples),
         "seed": args.seed,
         "target_rel_stderr": args.target_rel_stderr,
         "max_doublings": args.max_doublings,
@@ -201,21 +208,24 @@ def _cmd_probe(args: argparse.Namespace) -> int:
         print(f"unknown case id {args.ineq!r}; known: {', '.join(case_ids())}",
               file=sys.stderr)
         return 2
-    log = []
-    worst = None
-    corpus_name = "standard" if args.search == "random-polytopes" else "smooth"
-    for it in range(args.iters):
-        config = RunConfig(
-            corpus=corpus_name,
+    try:
+        base = RunConfig(
+            corpus="standard" if args.search == "random-polytopes" else "smooth",
             n=args.n,
             p=args.p,
             lam=args.lam,
-            samples=int(args.samples),
-            seed=args.seed + it,
+            samples=_count(args.samples),
+            seed=args.seed,
             max_doublings=1,
             cases=[args.ineq],
         )
-        report = run(config)
+    except ValueError as exc:
+        print(f"convexgeom probe: {exc}", file=sys.stderr)
+        return 2
+    log = []
+    worst = None
+    for it in range(args.iters):
+        report = run(dataclasses.replace(base, seed=args.seed + it))
         for r in report.results:
             entry = {"iter": it, "seed": r.seed, "instance": r.instance,
                      "ratio": r.ratio, "stderr": r.stderr}

@@ -43,6 +43,12 @@ def holder_conjugate(lam: float) -> float:
     return lam / (lam - 1.0)
 
 
+def lambda_admissible(lam: float, n: int, p: float) -> bool:
+    """True for the Orlicz parameters of the functional bounds:
+    lam = inf or lam in (n/(n+p), 1) u (1, inf)."""
+    return lam == math.inf or n / (n + p) < lam < 1 or 1 < lam < math.inf
+
+
 @dataclass
 class ConstantRecord:
     name: str
@@ -239,7 +245,7 @@ def levelset_constant(n: int, p: float, lam: float) -> float:
     b = p / (n + p)
     if lam == math.inf:
         raise ValueError("lam = inf uses the essential-support form, no constant")
-    if not (n / (n + p) < lam < 1 or lam > 1):
+    if not lambda_admissible(lam, n, p):
         raise ValueError("lam outside the admissible range")
     if lam < 1:
         return (

@@ -12,14 +12,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import rng as rngmod
 from .bodies import ConvexBody
-from .constants import QUAD_TOL, omega_n
+from .constants import omega_n
 from .estimate import Estimate, from_samples, mc_draws, product, quad_estimate
-from .funcspace import CompactFunction, Profile
+from .funcspace import CompactFunction, Profile, surface_measure_f
 from .functionals import det_volume_many, surface_measure
 from .sphere import sphere_rule
 
@@ -160,7 +159,7 @@ def I_tilde_p(
     if len(bodies) != n:
         raise ValueError("need exactly n bodies")
     measures = [surface_measure(L, p) for L in bodies]
-    gen = rngmod.substream(seed, "Itilde", str(p), *[repr(b) for b in bodies])
+    gen = rngmod.substream(seed, "Itilde", p, *bodies)
 
     def draw(gen, size):
         dirs, weights = zip(*[m.sample(gen, size) for m in measures])
@@ -180,7 +179,7 @@ def I_tilde_p_star(
     associated star bodies, sampled by rejection."""
     n = bodies[0].dim
     stars = [star_body(L, p) for L in bodies]
-    gen = rngmod.substream(seed, "Itilde-star", str(p), *[repr(b) for b in bodies])
+    gen = rngmod.substream(seed, "Itilde-star", p, *bodies)
 
     def draw(gen, size):
         return det_volume_many([s.sample(gen, size) for s in stars]) ** p
@@ -206,13 +205,9 @@ def I_tilde_p_functions(
     n = ls[0].dim
     if len(ls) != n:
         raise ValueError("need n functions")
-    for l in ls:
-        if l.grad is None:
-            raise ValueError("dual moment of functions needs gradients")
-    from .funcspace import surface_measure_f
 
     measures = [surface_measure_f(l, p) for l in ls]
-    gen = rngmod.substream(seed, "Itilde-f", str(p), *[l.label for l in ls])
+    gen = rngmod.substream(seed, "Itilde-f", p, *ls)
 
     def draw(gen, size):
         dirs, weights = zip(*[m.sample(gen, size) for m in measures])
@@ -252,12 +247,8 @@ def omega_p_function(
     """Functional p-affine surface area: the integral of
     |det K l|^{p/(n+p)} over the support box."""
     n = l.dim
-    gen = rngmod.substream(seed, "omega-f", str(p), l.label)
-
-    def draw(gen, size):
-        return bordered_hessian_det(l, l.sample_box(gen, size)) ** (p / (n + p))
-
-    return from_samples(mc_draws(gen, budget, draw), scale=l.box_volume)
+    gen = rngmod.substream(seed, "omega-f", p, l)
+    return l.box_mean(gen, budget, lambda x: bordered_hessian_det(l, x) ** (p / (n + p)))
 
 
 def omega_p_radial(profile: Profile, n: int, p: float) -> float:
@@ -266,17 +257,9 @@ def omega_p_radial(profile: Profile, n: int, p: float) -> float:
 
     Omega_p(l) = n omega_n int r^{n(n-1)/(n+p)} |F'(r)|^{p(n+1)/(n+p)} dr.
     """
-    if profile.dF is None:
-        raise ValueError("profile needs a derivative")
-    val, _ = quad(
-        lambda r: r ** (n * (n - 1) / (n + p))
-        * abs(profile.dF(np.array([r]))[0]) ** (p * (n + 1) / (n + p)),
-        0,
-        profile.Ttrunc,
-        epsabs=QUAD_TOL,
-        limit=200,
+    return n * omega_n(n) * profile.moment(
+        n * (n - 1) / (n + p), p * (n + 1) / (n + p), derivative=True
     )
-    return n * omega_n(n) * val
 
 
 def omega_p_levelset_radial(profile: Profile, n: int, p: float, s: float) -> float:

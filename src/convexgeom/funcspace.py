@@ -20,15 +20,17 @@ from .bodies import ConvexBody
 from .constants import (
     QUAD_TOL,
     holder_conjugate,
+    lambda_admissible,
     levelset_constant,
     moment_profile,
     moment_profile_support,
+    omega_n,
     sobolev_profile,
     sobolev_profile_deriv,
 )
 from .estimate import Estimate, from_samples, mc_direction_moments, mc_draws
 from .functionals import SurfaceMeasure, det_volume_many
-from .sphere import sphere_rule
+from .sphere import sample_sphere, sphere_rule
 
 __all__ = [
     "CompactFunction",
@@ -45,6 +47,7 @@ __all__ = [
     "dual_mixed_volume_f",
     "mixed_volume_f",
     "surface_measure_f",
+    "polar_projection_norm",
     "I_p_functions",
     "N_p_function_body",
     "levelset_extremal",
@@ -114,54 +117,20 @@ class CompactFunction:
         return worst
 
     def power(self, alpha: float) -> "CompactFunction":
-        """Pointwise power, for the level-set reparameterization checks."""
-        f0, g0, h0 = self.f, self.grad, self.hess
+        """Pointwise power of a radial composition, for the level-set
+        reparameterization checks."""
+        if not self.is_radial:
+            raise ValueError(f"power of {self.label} needs a radial composition")
+        return radial_function(self.profile.power(alpha), self.body)
 
-        def f(x):
-            return f0(x) ** alpha
+    def box_mean(self, gen, budget: int, integrand) -> Estimate:
+        """Box Monte Carlo: the integral of ``integrand(x)`` over the
+        support box, from ``budget`` uniform points of the box."""
 
-        grad = None
-        hess = None
-        if g0 is not None:
+        def draw(gen, size):
+            return integrand(self.sample_box(gen, size))
 
-            def grad(x):
-                v = f0(x)
-                safe = np.where(v > 0, v, 1.0)
-                return (alpha * safe ** (alpha - 1) * (v > 0))[:, None] * g0(x)
-
-        if g0 is not None and h0 is not None:
-
-            def hess(x):
-                v = f0(x)
-                safe = np.where(v > 0, v, 1.0)
-                mask = v > 0
-                g = g0(x)
-                outer = g[:, :, None] * g[:, None, :]
-                t1 = (alpha * (alpha - 1) * safe ** (alpha - 2) * mask)[:, None, None] * outer
-                t2 = (alpha * safe ** (alpha - 1) * mask)[:, None, None] * h0(x)
-                return t1 + t2
-
-        prof = None
-        if self.profile is not None:
-            p0 = self.profile
-            prof = Profile(
-                lambda t: p0.F(t) ** alpha,
-                None
-                if p0.dF is None
-                else (lambda t: alpha * np.where(p0.F(t) > 0, p0.F(t), 1.0) ** (alpha - 1)
-                      * (p0.F(t) > 0) * p0.dF(t)),
-                None,
-                p0.T,
-                p0.Ttrunc,
-                p0.smoothness,
-                f"{p0.label}^{alpha:g}",
-            )
-        return CompactFunction(
-            f, self.dim, self.box, grad, hess, self.smoothness,
-            None if self.sup is None else self.sup**alpha,
-            f"{self.label}^{alpha:g}",
-            prof, self.body,
-        )
+        return from_samples(mc_draws(gen, budget, draw), scale=self.box_volume)
 
 
 @dataclass
@@ -180,24 +149,30 @@ class Profile:
     smoothness: str = "C2"
     label: str = "profile"
 
-    def moment(self, k: float) -> float:
-        """integral of t^k F(t) dt over the support."""
-        val, _ = quad(lambda t: t**k * self.F(np.array([t]))[0], 0, self.Ttrunc,
-                      epsabs=QUAD_TOL, limit=200)
+    def moment(self, k: float, power: float = 1.0, derivative: bool = False) -> float:
+        """integral of t^k F(t)^power dt over the support; with
+        ``derivative``, of t^k |F'(t)|^power dt."""
+        F, dF = self.F, self.dF
+        if derivative:
+            if dF is None:
+                raise ValueError(f"profile {self.label} has no derivative")
+            integrand = lambda t: t**k * abs(dF(np.array([t]))[0]) ** power
+        elif power == 1.0:
+            integrand = lambda t: t**k * F(np.array([t]))[0]
+        else:
+            integrand = lambda t: t**k * F(np.array([t]))[0] ** power
+        val, _ = quad(integrand, 0, self.Ttrunc, epsabs=QUAD_TOL, limit=200)
         return val
 
-    def deriv_moment(self, k: float, power: float) -> float:
-        """integral of t^k |F'(t)|^power dt."""
-        if self.dF is None:
-            raise ValueError("profile has no derivative")
-        val, _ = quad(
-            lambda t: t**k * abs(self.dF(np.array([t]))[0]) ** power,
-            0,
-            self.Ttrunc,
-            epsabs=QUAD_TOL,
-            limit=200,
-        )
-        return val
+    def power(self, alpha: float) -> "Profile":
+        """Pointwise power F^alpha; its derivative vanishes where F does."""
+        F, dF = self.F, self.dF
+        dFa = None
+        if dF is not None:
+            dFa = lambda t: (alpha * np.where(F(t) > 0, F(t), 1.0) ** (alpha - 1)
+                             * (F(t) > 0) * dF(t))
+        return Profile(lambda t: F(t) ** alpha, dFa, None, self.T, self.Ttrunc,
+                       self.smoothness, f"{self.label}^{alpha:g}")
 
     def scaled(self, a: float) -> "Profile":
         F, dF, d2F = self.F, self.dF, self.d2F
@@ -239,7 +214,7 @@ def moment_extremal_profile(p: float, lam: float, n: int) -> Profile:
                    f"moment(p={p:g},lam={lam:g})")
 
 
-def sobolev_extremal_profile(p: float, n: int, tail_tol: float = 1e-10) -> Profile:
+def sobolev_extremal_profile(p: float, n: int) -> Profile:
     """Radial profile of the sharp-Sobolev extremal; indicator at p = 1."""
     if p == 1:
         F = sobolev_profile(1, n)
@@ -251,7 +226,7 @@ def sobolev_extremal_profile(p: float, n: int, tail_tol: float = 1e-10) -> Profi
     decay = (n - p) / (p - 1)
     T = 10.0
     pstar = n * p / (n - p)
-    while T ** (n - pstar * decay) > tail_tol and T < 1e9:
+    while T ** (n - pstar * decay) > 1e-10 and T < 1e9:
         T *= 2.0
     # subtract the cutoff value so the truncated profile stays continuous:
     # a sharp jump at T would carry a surface gradient term the radial
@@ -406,27 +381,23 @@ class _RadialBins:
 
 
 class _RadialSampler:
-    """Importance sampler for integrals of radial integrands
-    phi(gauge(x)) over R^n: directions uniform on the sphere carry the
+    """Importance sampler against a radial composition l = F(gauge(x))
+    itself as a density: directions uniform on the sphere carry the
     weight n omega_n gauge(theta)^{-n}; radii come from _RadialBins.
     """
 
-    def __init__(self, l: CompactFunction, phi_s):
-        from .constants import omega_n
-        from .sphere import sample_sphere
-
-        self._sample_sphere = sample_sphere
+    def __init__(self, l: CompactFunction):
+        prof, n = l.profile, l.dim
         self.body = l.body
-        self.dim = l.dim
-        # phi_s is the full radial density in s = gauge(x), including the
-        # s^{n-1} area factor
-        self.radial = _RadialBins(phi_s, l.profile.Ttrunc)
-        self.nw = self.dim * omega_n(self.dim)
+        self.dim = n
+        # the radial density in s = gauge(x), including the s^{n-1} area factor
+        self.radial = _RadialBins(lambda s: s ** (n - 1) * prof.F(s), prof.Ttrunc)
+        self.nw = n * omega_n(n)
 
     def sample(self, gen, size):
         """Points x and weights w with E[psi(x) w] equal to the integral
-        of psi((s/g) theta) phi_s(s) g(theta)^{-n} over s and the sphere."""
-        theta = self._sample_sphere(gen, self.dim, size)
+        of psi((s/g) theta) s^{n-1} F(s) g(theta)^{-n} over s and the sphere."""
+        theta = sample_sphere(gen, self.dim, size)
         g = self.body.gauge(theta)
         s, ws = self.radial.sample(gen, size)
         r = s / g
@@ -434,19 +405,6 @@ class _RadialSampler:
         # dx = r^{n-1} dr dtheta and r = s / g(theta) give the g^{-n} factor
         w = self.nw * g ** (-self.dim) * ws
         return x, w
-
-
-def _profile_moment(l: CompactFunction, k: float, of_derivative: bool = False, power: float = 1.0):
-    prof = l.profile
-    if of_derivative:
-        return prof.deriv_moment(k, power)
-    if power == 1.0:
-        return prof.moment(k)
-    val, _ = quad(
-        lambda t: t**k * prof.F(np.array([t]))[0] ** power,
-        0, prof.Ttrunc, epsabs=QUAD_TOL, limit=200,
-    )
-    return val
 
 
 def _gauge_sphere_integral(l: CompactFunction, fn) -> float:
@@ -459,9 +417,7 @@ def radial_representative(L: ConvexBody, p: float, profile: Profile | None = Non
     a C^2 bump profile rescaled so the derivative-moment normalization
     holds."""
     base = profile or bump_profile(3)
-    if base.dF is None:
-        raise ValueError("representative profile needs a derivative")
-    norm = base.deriv_moment(L.dim - 1, p)
+    norm = base.moment(L.dim - 1, p, derivative=True)
     a = norm ** (-1.0 / p)
     return radial_function(base.scaled(a), L)
 
@@ -485,15 +441,13 @@ def normalized_sobolev_extremal(K: ConvexBody, p: float, width: float = 0.04) ->
     if not 1 <= p < n:
         raise ValueError("requires 1 <= p < n")
     prof = mollified_indicator_profile(width) if p == 1 else sobolev_extremal_profile(p, n)
-    norm = prof.deriv_moment(n - 1, p)
+    norm = prof.moment(n - 1, p, derivative=True)
     a = norm ** (-1.0 / p)
     return radial_function(prof.scaled(a), K)
 
 
 def _check_lambda(lam: float, n: int, p: float):
-    if lam == math.inf:
-        return
-    if not (n / (n + p) < lam < 1 or lam > 1):
+    if not lambda_admissible(lam, n, p):
         raise ValueError(f"lambda={lam} outside (n/(n+p), 1) u (1, inf]")
 
 
@@ -529,13 +483,11 @@ def lp_norm(
         raise ValueError("lam must be positive or inf")
     n = l.dim
     if l.is_radial:
-        radial = _profile_moment(l, n - 1, power=lam)
+        radial = l.profile.moment(n - 1, lam)
         sphere = _gauge_sphere_integral(l, lambda u: l.body.gauge(u) ** (-n))
         return Estimate(radial * sphere, 0.0, 0, "quadrature") ** (1.0 / lam)
-    gen = rngmod.substream(seed, "lpnorm", str(lam), l.label)
-    vals = mc_draws(gen, budget, lambda gen, size: l(l.sample_box(gen, size)) ** lam)
-    integral = from_samples(vals, scale=l.box_volume)
-    return integral ** (1.0 / lam)
+    gen = rngmod.substream(seed, "lpnorm", lam, l)
+    return l.box_mean(gen, budget, lambda x: l(x) ** lam) ** (1.0 / lam)
 
 
 def dual_mixed_volume_f(
@@ -544,28 +496,22 @@ def dual_mixed_volume_f(
     p: float,
     budget: int = 100_000,
     seed: int = rngmod.DEFAULT_SEED,
-    method: str = "auto",
 ) -> Estimate:
     """(n+p)/n times the integral of f(x) * gauge_L(x)^p.
 
     For a radial composition f = F(gauge_K) the integral separates into
     the (n+p-1)-moment of F times the spherical integral of
-    gauge_L^p gauge_K^{-(n+p)}.
+    gauge_L^p gauge_K^{-(n+p)}; other functions use box Monte Carlo.
     """
     n = f.dim
-    if f.is_radial and method in ("auto", "quadrature"):
-        radial = _profile_moment(f, n + p - 1)
+    if f.is_radial:
+        radial = f.profile.moment(n + p - 1)
         sphere = _gauge_sphere_integral(
             f, lambda u: L.gauge(u) ** p * f.body.gauge(u) ** (-(n + p))
         )
         return Estimate(radial * sphere * (n + p) / n, 0.0, 0, "quadrature")
-    gen = rngmod.substream(seed, "dmvf", str(p), f.label, repr(L))
-
-    def draw(gen, size):
-        x = f.sample_box(gen, size)
-        return f(x) * L.gauge(x) ** p
-
-    return from_samples(mc_draws(gen, budget, draw), scale=f.box_volume) * ((n + p) / n)
+    gen = rngmod.substream(seed, "dmvf", p, f, L)
+    return f.box_mean(gen, budget, lambda x: f(x) * L.gauge(x) ** p) * ((n + p) / n)
 
 
 def mixed_volume_f(
@@ -574,36 +520,35 @@ def mixed_volume_f(
     p: float,
     budget: int = 100_000,
     seed: int = rngmod.DEFAULT_SEED,
-    method: str = "auto",
 ) -> Estimate:
     """(1/n) times the integral of h_K(-grad f)^p.
 
     Radial compositions with decreasing profiles separate into the
     derivative moment of the profile times a spherical integral of
-    h_K(grad gauge)^p gauge^{-n}.
+    h_K(grad gauge)^p gauge^{-n}; other functions use box Monte Carlo.
     """
     if f.grad is None:
         raise ValueError("mixed volume of a function needs its gradient")
     n = f.dim
-    if f.is_radial and method in ("auto", "quadrature") and _profile_decreasing(f):
-        radial = _profile_moment(f, n - 1, of_derivative=True, power=p)
+    if f.is_radial and _profile_decreasing(f):
+        radial = f.profile.moment(n - 1, p, derivative=True)
 
         def integrand(u):
             dg = f.body.gauge_grad(u)
             return K.support(dg) ** p * f.body.gauge(u) ** (-n)
 
         return Estimate(radial * _gauge_sphere_integral(f, integrand) / n, 0.0, 0, "quadrature")
-    gen = rngmod.substream(seed, "mvf", str(p), f.label, repr(K))
+    gen = rngmod.substream(seed, "mvf", p, f, K)
 
-    def draw(gen, size):
-        g = -f.grad(f.sample_box(gen, size))
+    def integrand(x):
+        g = -f.grad(x)
         ok = np.linalg.norm(g, axis=1) > 0
-        h = np.zeros(size)
+        h = np.zeros(len(x))
         if ok.any():
             h[ok] = K.support(g[ok]) ** p
         return h
 
-    return from_samples(mc_draws(gen, budget, draw), scale=f.box_volume) * (1.0 / n)
+    return f.box_mean(gen, budget, integrand) * (1.0 / n)
 
 
 def surface_measure_f(f: CompactFunction, p: float) -> SurfaceMeasure:
@@ -617,12 +562,9 @@ def surface_measure_f(f: CompactFunction, p: float) -> SurfaceMeasure:
     if f.grad is None:
         raise ValueError("surface measure of a function needs its gradient")
     if f.is_radial and _profile_decreasing(f):
-        from .constants import omega_n
-        from .sphere import sample_sphere
-
         n = f.dim
         body = f.body
-        Zp = _profile_moment(f, n - 1, of_derivative=True, power=p)
+        Zp = f.profile.moment(n - 1, p, derivative=True)
         nw = n * omega_n(n)
 
         def sampler(gen, size):
@@ -648,8 +590,50 @@ def surface_measure_f(f: CompactFunction, p: float) -> SurfaceMeasure:
     return SurfaceMeasure("pushforward", f.dim, sampler=sampler, label=f"{f.label}|p={p}")
 
 
+def polar_projection_norm(f: CompactFunction, p: float, budget: int, seed: int) -> Estimate:
+    """(integral over the sphere of m(xi)^{-n/p})^{-1/n} where
+    m(xi) = integral of |<grad f, xi>|^p."""
+    n = f.dim
+    rule = sphere_rule(n, 256 if n == 2 else 48)
+    sm = surface_measure_f(f, p)
+    gen = rngmod.substream(seed, "polar-proj", p, f)
+
+    def draw(gen, size):
+        dirs, w = sm.sample(gen, size)
+        return lambda block: np.abs(dirs @ block.T) ** p * w[:, None]
+
+    m, sem, total = mc_direction_moments(gen, budget, rule.nodes, draw)
+    integral = rule.integrate(m ** (-n / p))
+    val = integral ** (-1.0 / n)
+    # d val / d m_j = val / n * (n/p) * w_j m_j^{-n/p-1} / integral
+    grad = val / p * rule.weights * m ** (-n / p - 1) / integral
+    err = float(np.sqrt(np.sum((grad * sem) ** 2)))
+    return Estimate(val, err, total, "monte-carlo")
+
+
 # ---------------------------------------------------------------------------
 # functional random-simplex operations
+
+
+def _weighted_points(ls: list[CompactFunction]):
+    """``draw(gen, size) -> (points, weights)`` with the functions as
+    densities, and the scale of the weighted mean.  Radial compositions
+    are importance-sampled (scale 1); otherwise points are uniform on the
+    boxes and weighted by the function values."""
+    if all(l.is_radial for l in ls):
+        samplers = [_RadialSampler(l) for l in ls]
+
+        def draw(gen, size):
+            pts, ws = zip(*[s.sample(gen, size) for s in samplers])
+            return list(pts), np.prod(ws, axis=0)
+
+        return draw, 1.0
+
+    def draw(gen, size):
+        pts = [l.sample_box(gen, size) for l in ls]
+        return pts, np.prod([l(x) for l, x in zip(ls, pts)], axis=0)
+
+    return draw, float(np.prod([l.box_volume for l in ls]))
 
 
 def I_p_functions(
@@ -663,30 +647,14 @@ def I_p_functions(
     n = ls[0].dim
     if len(ls) != n:
         raise ValueError("need n functions of n variables")
-    gen = rngmod.substream(seed, "I_p_f", str(p), *[l.label for l in ls])
-    if all(l.is_radial for l in ls):
-        samplers = [_function_sampler(l) for l in ls]
-
-        def draw(gen, size):
-            pts, ws = zip(*[s.sample(gen, size) for s in samplers])
-            return np.prod(ws, axis=0) * det_volume_many(list(pts)) ** p
-
-        return from_samples(mc_draws(gen, budget, draw))
-    scale = float(np.prod([l.box_volume for l in ls]))
+    gen = rngmod.substream(seed, "I_p_f", p, *ls)
+    points, scale = _weighted_points(ls)
 
     def draw(gen, size):
-        pts = [l.sample_box(gen, size) for l in ls]
-        w = np.prod([l(x) for l, x in zip(ls, pts)], axis=0)
+        pts, w = points(gen, size)
         return w * det_volume_many(pts) ** p
 
     return from_samples(mc_draws(gen, budget, draw), scale=scale)
-
-
-def _function_sampler(l: CompactFunction) -> _RadialSampler:
-    """Importance sampler against the function itself as a density."""
-    prof = l.profile
-    n = l.dim
-    return _RadialSampler(l, lambda s: s ** (n - 1) * prof.F(s))
 
 
 def N_p_function_body(
@@ -704,19 +672,11 @@ def N_p_function_body(
     if len(ls) != n - 1:
         raise ValueError("need n - 1 functions")
     rule = sphere_rule(n, 256 if n == 2 else 48)
-    gen = rngmod.substream(seed, "N_p_f", str(p), *[l.label for l in ls])
-    radial = all(l.is_radial for l in ls)
-    samplers = [_function_sampler(l) for l in ls] if radial else None
-    scale = 1.0 if radial else float(np.prod([l.box_volume for l in ls]))
+    gen = rngmod.substream(seed, "N_p_f", p, *ls)
+    points, scale = _weighted_points(ls)
 
     def draw(gen, size):
-        if radial:
-            pts, ws = zip(*[s.sample(gen, size) for s in samplers])
-            pts = list(pts)
-            w = np.prod(ws, axis=0)
-        else:
-            pts = [l.sample_box(gen, size) for l in ls]
-            w = np.prod([l(x) for l, x in zip(ls, pts)], axis=0)
+        pts, w = points(gen, size)
         return lambda block: w[:, None] * _det_with_direction(pts, block) ** p
 
     mean, sem, total = mc_direction_moments(gen, budget, rule.nodes, draw)

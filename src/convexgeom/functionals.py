@@ -80,7 +80,7 @@ def I_p(
         raise ValueError("need exactly n bodies of dimension n")
     if p < 1:
         raise ValueError("p must be at least 1")
-    gen = rngmod.substream(seed, "I_p", str(p), *[repr(b) for b in bodies])
+    gen = rngmod.substream(seed, "I_p", p, *bodies)
 
     def draw(gen, size):
         return det_volume_many([sample_uniform(L, gen, size) for L in bodies]) ** p
@@ -107,7 +107,7 @@ def N_p_body(
     if len(bodies) != n - 1:
         raise ValueError("need n - 1 bodies")
     rule = rule or sphere_rule(n, 256 if n == 2 else 48)
-    gen = rngmod.substream(seed, "N_p", str(p), *[repr(b) for b in bodies])
+    gen = rngmod.substream(seed, "N_p", p, *bodies)
 
     def draw(gen, size):
         pts = [sample_uniform(L, gen, size) for L in bodies]
@@ -148,7 +148,7 @@ def centroid_body(
     ball maps to itself."""
     n = L.dim
     rule = rule or sphere_rule(n, 256 if n == 2 else 48)
-    gen = rngmod.substream(seed, "centroid", str(p), repr(L))
+    gen = rngmod.substream(seed, "centroid", p, L)
 
     def draw(gen, size):
         x = sample_uniform(L, gen, size)
@@ -214,7 +214,7 @@ class SurfaceMeasure:
             rule = sphere_rule(self.dim, 1024 if self.dim == 2 else 96)
             vals = f(rule.nodes) * self.density(rule.nodes)
             return quad_estimate(rule.integrate(vals))
-        gen = rngmod.substream(seed, "surface-measure-int", self.label)
+        gen = rngmod.substream(seed, "surface-measure-int", self)
 
         def draw(gen, size):
             dirs, w = self.sampler(gen, size)
@@ -323,7 +323,7 @@ def dual_mixed_volume(
 ) -> Estimate:
     """(n+p)/n times the integral over K of the gauge of L to the p."""
     n = K.dim
-    gen = rngmod.substream(seed, "dmv", str(p), repr(K), repr(L))
+    gen = rngmod.substream(seed, "dmv", p, K, L)
 
     def draw(gen, size):
         return L.gauge(sample_uniform(K, gen, size)) ** p

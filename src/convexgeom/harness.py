@@ -36,6 +36,7 @@ from .constants import (
     cnv_np,
     derived_constants,
     holder_conjugate,
+    lambda_admissible,
     moment_constant,
     omega_n,
     petty_bound,
@@ -49,7 +50,7 @@ from .dualtheory import (
     omega_p_function,
     omega_p_radial,
 )
-from .estimate import MONTE_CARLO, Estimate, mc_direction_moments, product
+from .estimate import MONTE_CARLO, Estimate, product
 from .funcspace import (
     CompactFunction,
     I_p_functions,
@@ -63,8 +64,8 @@ from .funcspace import (
     mollified_indicator_profile,
     normalized_moment_extremal,
     normalized_sobolev_extremal,
+    polar_projection_norm,
     radial_function,
-    surface_measure_f,
 )
 from .functionals import (
     I_p,
@@ -75,7 +76,6 @@ from .functionals import (
     mixed_volume,
     projection_body,
 )
-from .sphere import sphere_rule
 
 __all__ = [
     "RunConfig",
@@ -95,6 +95,11 @@ __all__ = [
 
 
 EQ_ATOL = 1e-6  # tolerance absorbing quadrature truncation in eq/ge gates
+CORPORA = ("standard", "smooth")
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -113,12 +118,26 @@ class RunConfig:
         # flags, --config JSON and --sweep values all arrive here
         if not (type(self.n) is int and self.n in (2, 3)):
             raise ValueError(f"config n must be 2 or 3, got {self.n!r}")
+        if not (_is_real(self.p) and 1 <= self.p < math.inf):
+            raise ValueError(f"config p must be a finite number >= 1, got {self.p!r}")
+        if not (_is_real(self.lam) and lambda_admissible(self.lam, self.n, self.p)):
+            raise ValueError(
+                f"config lam must be inf or in (n/(n+p), 1) u (1, inf) = "
+                f"({self.n / (self.n + self.p):g}, 1) u (1, inf), got {self.lam!r}"
+            )
         if not (type(self.samples) is int and self.samples >= 1):
             raise ValueError(f"config samples must be an integer >= 1, got {self.samples!r}")
         if not (type(self.max_doublings) is int and self.max_doublings >= 0):
             raise ValueError(
                 f"config max_doublings must be an integer >= 0, got {self.max_doublings!r}"
             )
+        if not (_is_real(self.target_rel_stderr) and 0 < self.target_rel_stderr < math.inf):
+            raise ValueError(
+                "config target_rel_stderr must be a finite number > 0, "
+                f"got {self.target_rel_stderr!r}"
+            )
+        if self.corpus not in CORPORA:
+            raise ValueError(f"config corpus must be one of {CORPORA}, got {self.corpus!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunConfig":
@@ -221,7 +240,7 @@ def corpus(name: str, n: int, seed: int = rngmod.DEFAULT_SEED) -> list[ConvexBod
             LqBall(1.5, n),
             LqBall(4.0, n),
         ]
-        gen = rngmod.substream(seed, "corpus", "polytopes", str(n))
+        gen = rngmod.substream(seed, "corpus", "polytopes", n)
         for i in range(3):
             bodies.append(_random_polytope(gen, n, i))
         return bodies
@@ -256,13 +275,12 @@ def function_corpus(
     indicators; gradient oracles are spot-checked on load."""
     n, p, lam = config.n, config.p, config.lam
     out: list[CompactFunction] = []
-    if _lambda_admissible(lam, n, p):
-        out.append(normalized_moment_extremal(Ball(1.0, n), p, lam))
-        if not smooth_only or lam > 2:
-            out.append(normalized_moment_extremal(_normalized_ellipsoid(n), p, lam))
+    out.append(normalized_moment_extremal(Ball(1.0, n), p, lam))
+    if not smooth_only or lam > 2:
+        out.append(normalized_moment_extremal(_normalized_ellipsoid(n), p, lam))
     if 1 <= p < n:
         out.append(normalized_sobolev_extremal(Ball(1.0, n), p))
-    gen = rngmod.substream(config.seed, "corpus", "bumps", str(n))
+    gen = rngmod.substream(config.seed, "corpus", "bumps", n)
     for i in range(3):
         q = np.exp(gen.uniform(-0.4, 0.4, size=n))
         A = np.diag(q / np.prod(q) ** (1 / n))
@@ -281,10 +299,6 @@ def function_corpus(
             if err > 1e-4:
                 raise RuntimeError(f"gradient oracle of {l.label} off by {err:g}")
     return out
-
-
-def _lambda_admissible(lam: float, n: int, p: float) -> bool:
-    return lam == math.inf or (n / (n + p) < lam < 1) or lam > 1
 
 
 # ---------------------------------------------------------------------------
@@ -446,8 +460,6 @@ def _rsid_s_instances(config: RunConfig):
 
 def _moment_instances(config: RunConfig):
     n, p, lam = config.n, config.p, config.lam
-    if not _lambda_admissible(lam, n, p):
-        return
     ct = moment_constant(n, p, lam).value
     lamp = holder_conjugate(lam)
     fs = function_corpus(config)
@@ -495,8 +507,6 @@ def _norm_factor_iso(l: CompactFunction, n, p, lam, lamp, budget, seed) -> Estim
 
 def _iso_f_instances(config: RunConfig):
     n, p, lam = config.n, config.p, config.lam
-    if not _lambda_admissible(lam, n, p):
-        return
     consts = derived_constants(n, p, lam)
     A = consts["A_nplam"].value
     lamp = holder_conjugate(lam)
@@ -519,8 +529,6 @@ def _iso_f_instances(config: RunConfig):
 
 def _rsi_f_instances(config: RunConfig):
     n, p, lam = config.n, config.p, config.lam
-    if not _lambda_admissible(lam, n, p):
-        return
     consts = derived_constants(n, p, lam)
     B = consts["B_nplam"].value
     lamp = holder_conjugate(lam)
@@ -544,7 +552,7 @@ def _rsi_f_instances(config: RunConfig):
 
 def _levelset_instances(config: RunConfig):
     n, p, lam = config.n, config.p, config.lam
-    if lam == math.inf or not _lambda_admissible(lam, n, p):
+    if lam == math.inf:
         gs = [("indicator", lambda t: np.where(np.asarray(t) <= 1.0, 1.0, 0.0), 1.0, 1.0)]
         for label, g, T, S in gs:
 
@@ -573,8 +581,6 @@ def _levelset_instances(config: RunConfig):
 def _rsid_f_instances(config: RunConfig):
     n, p, lam = config.n, config.p, config.lam
     alpha = reparam_lambda_to_alpha(lam, n, p)
-    if alpha != math.inf and not (n / (n + 1) < alpha < 1 or alpha > 1):
-        return
     const = rsid_f_constant(n, p, alpha).value
     fs = function_corpus(config, smooth_only=True)
     for l in fs[:3]:
@@ -638,27 +644,6 @@ def _sobolevish_5_5_instances(config: RunConfig):
         yield f.label, ev
 
 
-def _polar_projection_norm(f: CompactFunction, p: float, budget: int, seed: int) -> Estimate:
-    """(integral over the sphere of m(xi)^{-n/p})^{-1/n} where
-    m(xi) = integral of |<grad f, xi>|^p."""
-    n = f.dim
-    rule = sphere_rule(n, 256 if n == 2 else 48)
-    sm = surface_measure_f(f, p)
-    gen = rngmod.substream(seed, "polar-proj", str(p), f.label)
-
-    def draw(gen, size):
-        dirs, w = sm.sample(gen, size)
-        return lambda block: np.abs(dirs @ block.T) ** p * w[:, None]
-
-    m, sem, total = mc_direction_moments(gen, budget, rule.nodes, draw)
-    integral = rule.integrate(m ** (-n / p))
-    val = integral ** (-1.0 / n)
-    # d val / d m_j = val / n * (n/p) * w_j m_j^{-n/p-1} / integral
-    grad = val / p * rule.weights * m ** (-n / p - 1) / integral
-    err = float(np.sqrt(np.sum((grad * sem) ** 2)))
-    return Estimate(val, err, total, "monte-carlo")
-
-
 def _zhang_5_7_instances(config: RunConfig):
     n = config.n
     if config.p != 1:
@@ -668,7 +653,7 @@ def _zhang_5_7_instances(config: RunConfig):
 
         def ev(budget, seed, f=f):
             # half-cosine transform and 1/n normalization of the display
-            lhs = 0.5 * n ** (1.0 / n) * _polar_projection_norm(f, 1.0, budget, seed)
+            lhs = 0.5 * n ** (1.0 / n) * polar_projection_norm(f, 1.0, budget, seed)
             rhs = (omega_n(n - 1) / omega_n(n)) * lp_norm(
                 f, n / (n - 1), budget=budget, seed=seed
             )
@@ -685,7 +670,7 @@ def _stronger_5_8_instances(config: RunConfig):
     for f in fs[:3]:
 
         def ev(budget, seed, f=f):
-            lhs = 0.5 * n ** (1.0 / n) * _polar_projection_norm(f, 1.0, budget, seed)
+            lhs = 0.5 * n ** (1.0 / n) * polar_projection_norm(f, 1.0, budget, seed)
             it = I_tilde_p_functions([f] * n, 1.0, budget=budget, seed=seed)
             rhs = (it * (1.0 / (omega_n(n) ** 2 * math.factorial(n)))) ** (1.0 / n)
             return lhs / rhs
@@ -695,7 +680,7 @@ def _stronger_5_8_instances(config: RunConfig):
 
 def _stronger_p_calibration(n: int, p: float, budget: int = 1 << 17) -> Estimate:
     f0 = normalized_sobolev_extremal(Ball(1.0, n), p)
-    lhs = _polar_projection_norm(f0, p, budget, 1)
+    lhs = polar_projection_norm(f0, p, budget, 1)
     it = I_tilde_p_functions([f0] * n, p, budget=budget, seed=1)
     return lhs / it ** (1.0 / (n * p))
 
@@ -718,7 +703,7 @@ def _stronger_p_instances(config: RunConfig):
     for f in fs[:3]:
 
         def ev(budget, seed, f=f):
-            lhs = _polar_projection_norm(f, p, budget, seed)
+            lhs = polar_projection_norm(f, p, budget, seed)
             it = I_tilde_p_functions([f] * n, p, budget=budget, seed=seed)
             return lhs / (c * it ** (1.0 / (n * p)))
 

@@ -4,9 +4,9 @@ All randomness in the package flows from a single 64-bit seed.  Named
 sub-streams are derived by hashing string keys into a
 ``numpy.random.SeedSequence``, so any operation gets a reproducible
 generator independent of call order.  Each Monte-Carlo call keys its
-stream on its function name, its parameters and the ``repr`` (or label)
-of its bodies or functions, and draws ``chunked`` fixed-size chunks in
-order from that one generator through
+stream on its function name, its parameters and its bodies, functions
+or measures, all named by the one rule of :func:`substream`, and draws
+``chunked`` fixed-size chunks in order from that one generator through
 :func:`convexgeom.estimate.mc_draws` or
 :func:`convexgeom.estimate.mc_direction_moments`; the latter evaluates
 each chunk on ``NODE_BLOCK`` sphere-rule nodes at a time, so a draw holds
@@ -33,11 +33,15 @@ def _key_to_ints(key: str) -> list[int]:
     return [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
 
 
-def substream(seed: int, *keys: str) -> np.random.Generator:
-    """Generator for the sub-stream identified by ``keys`` under ``seed``."""
+def substream(seed: int, *keys) -> np.random.Generator:
+    """Generator for the sub-stream identified by ``keys`` under ``seed``.
+
+    A key is named by its ``label`` when it has one (functions, surface
+    measures) and by ``str`` otherwise (strings, numbers, bodies).
+    """
     entropy = [int(seed)]
     for k in keys:
-        entropy.extend(_key_to_ints(str(k)))
+        entropy.extend(_key_to_ints(str(getattr(k, "label", k))))
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 

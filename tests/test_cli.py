@@ -88,6 +88,14 @@ class TestVerify:
             (["--max-doublings", "-1"], "max_doublings must be an integer >= 0, got -1"),
             (["--sweep", "n", "--values", "2,4"], "n must be 2 or 3, got 4"),
             (["--sweep", "samples"], "--sweep requires --values"),
+            (["--p", "0.5"], "p must be a finite number >= 1, got 0.5"),
+            (["--p", "nan"], "p must be a finite number >= 1, got nan"),
+            (["--lambda", "0.3"],
+             "lam must be inf or in (n/(n+p), 1) u (1, inf) = (0.5, 1) u (1, inf), got 0.3"),
+            (["--target-rel-stderr", "-1"],
+             "target_rel_stderr must be a finite number > 0, got -1.0"),
+            (["--samples", "inf"], "samples must be an integer >= 1, got inf"),
+            (["--samples", "1024.5"], "samples must be an integer >= 1, got 1024.5"),
         ],
     )
     def test_bad_config_exits_2_naming_the_field(self, capsys, flags, message):
@@ -99,15 +107,33 @@ class TestVerify:
 
     def test_bad_config_file_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"samples": 0}))
-        rc = main(["verify", "--cases", "levelset", "--config", str(cfg)])
-        assert rc == 2
-        assert "samples must be an integer >= 1, got 0" in capsys.readouterr().err
+        for entries, message in [
+            ({"samples": 0}, "samples must be an integer >= 1, got 0"),
+            ({"p": "2"}, "p must be a finite number >= 1, got '2'"),
+        ]:
+            cfg.write_text(json.dumps(entries))
+            rc = main(["verify", "--cases", "levelset", "--config", str(cfg)])
+            assert rc == 2
+            assert message in capsys.readouterr().err
 
 
 class TestProbe:
     def test_probe_unknown_case(self, capsys):
         assert main(["probe", "--ineq", "bogus"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--samples", "0"], "samples must be an integer >= 1, got 0"),
+            (["--n", "4"], "n must be 2 or 3, got 4"),
+        ],
+    )
+    def test_bad_config_exits_2_naming_the_field(self, capsys, flags, message):
+        rc = main(["probe", "--ineq", "petty_probe", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert message in captured.err
+        assert captured.out == ""
 
     def test_probe_runs_and_logs(self, capsys, tmp_path):
         log = tmp_path / "log.json"

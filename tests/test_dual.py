@@ -8,13 +8,14 @@ import pytest
 from scipy.integrate import quad
 
 from convexgeom import rng as rngmod
-from convexgeom.bodies import Ball, Cube, Ellipsoid, linear_image, volume
+from convexgeom.bodies import Ball, Cube, Ellipsoid, LqBall, linear_image, volume
 from convexgeom.constants import omega_n
 from convexgeom.dualtheory import (
     I_tilde_p,
     I_tilde_p_functions,
     I_tilde_p_star,
     bordered_hessian_det,
+    curvature_density,
     omega_p,
     omega_p_ellipsoid,
     omega_p_function,
@@ -27,6 +28,7 @@ from convexgeom.dualtheory import (
 from convexgeom.funcspace import bump_profile, radial_function, radial_representative
 from convexgeom.functionals import projection_body
 from convexgeom.harness import corpus
+from convexgeom.sphere import sample_sphere
 
 
 def _agree(a, b, extra=0.0):
@@ -50,6 +52,16 @@ class TestOmegaP:
         a = omega_p(Ellipsoid(A), 2.0).value
         b = omega_p_ellipsoid(A, 2.0)
         assert a == pytest.approx(b, rel=1e-9)
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_lq_ball_two_is_the_disk(self, p):
+        # LqBall(2) is the unit disk reached through the generic smooth
+        # path: the pushforward of the radial representative (which needs
+        # LqBall.gauge_grad) and the support-function curvature grid
+        L = LqBall(2.0, 2)
+        u = sample_sphere(rngmod.substream(12, "lq-disk"), 2, 64)
+        assert np.max(np.abs(curvature_density(L, p)(u) - 1.0)) <= 1e-8
+        assert omega_p(L, p).value == pytest.approx(2 * math.pi, rel=1e-9)
 
     def test_polytope_vanishes(self):
         assert omega_p(Cube(1.0, 2), 2.0).value == 0.0

@@ -129,6 +129,18 @@ class TestFunctionalPairings:
         with pytest.raises(ValueError, match="generic-bump"):
             lp_norm(generic, math.inf)
 
+    @pytest.mark.parametrize("fn", [dual_mixed_volume_f, mixed_volume_f],
+                             ids=lambda fn: fn.__name__)
+    def test_box_monte_carlo_matches_radial_quadrature(self, fn):
+        # the same oracles without the profile/body pair take the box path
+        f = radial_function(bump_profile(3), Ellipsoid(np.diag([1.25, 0.8])))
+        generic = dataclasses.replace(f, profile=None, body=None, label="generic-bump")
+        L = Ellipsoid(np.diag([0.9, 1.2]))
+        exact = fn(f, L, 2.0)
+        mc = fn(generic, L, 2.0, budget=1 << 16, seed=3)
+        assert exact.method == "quadrature" and mc.method == "monte-carlo"
+        _agree(mc, exact)
+
     def test_lp_norm_scaling_under_linear_image(self):
         prof = bump_profile(3, 1.0)
         A = np.diag([2.0, 0.5])
@@ -172,6 +184,12 @@ class TestPower:
         assert np.allclose(g(x), f(x) ** 1.5)
         gen = rngmod.substream(5, "pow")
         assert g.gradient_check(gen, probes=30) < 1e-5
+
+    def test_power_needs_a_radial_composition(self):
+        f = radial_function(bump_profile(3, 1.0), Ball(1.0, 2))
+        generic = dataclasses.replace(f, profile=None, body=None, label="generic-bump")
+        with pytest.raises(ValueError, match="generic-bump"):
+            generic.power(1.5)
 
 
 class TestLevelset:

@@ -30,8 +30,8 @@ from convexgeom.functionals import (
     projection_body,
     surface_measure,
 )
-from convexgeom.funcspace import normalized_sobolev_extremal
-from convexgeom.harness import RunConfig, _polar_projection_norm, corpus, run
+from convexgeom.funcspace import normalized_sobolev_extremal, polar_projection_norm
+from convexgeom.harness import RunConfig, corpus, run
 from convexgeom.sphere import sample_sphere, sphere_rule
 
 
@@ -68,7 +68,8 @@ class TestIp:
 class TestMixedVolumes:
     @pytest.mark.parametrize("L", [Ball(1.0, 2), Cube(1.0, 2),
                                    Ellipsoid(np.diag([2.0, 0.5])),
-                                   standard_simplex(2, centered=True)], ids=repr)
+                                   standard_simplex(2, centered=True),
+                                   LqBall(1.5, 2)], ids=repr)
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_self_mixed_volume_is_volume(self, L, p):
         vol = volume(L).value
@@ -191,7 +192,7 @@ class TestDirectionKernelMemory:
 
     def test_polar_projection_norm(self):
         f = normalized_sobolev_extremal(Ball(1.0, 3), 2.0)
-        peak = _traced_peak_mib(lambda: _polar_projection_norm(f, 2.0, self.BUDGET, 1))
+        peak = _traced_peak_mib(lambda: polar_projection_norm(f, 2.0, self.BUDGET, 1))
         assert peak < self.LIMIT_MIB
 
     def test_body_volume_n3(self):

@@ -71,8 +71,8 @@ def _estimates() -> dict:
     sm = surface_measure_f(radial, 2.0)
     return {
         "lp_norm_box": lp_norm(generic, 2.0, **kw),
-        "dual_mixed_volume_f_mc": dual_mixed_volume_f(radial, ball, 2.0, method="monte-carlo", **kw),
-        "mixed_volume_f_mc": mixed_volume_f(radial, ell, 2.0, method="monte-carlo", **kw),
+        "dual_mixed_volume_f_mc": dual_mixed_volume_f(generic, ball, 2.0, **kw),
+        "mixed_volume_f_mc": mixed_volume_f(generic, ell, 2.0, **kw),
         "omega_p_function": omega_p_function(radial, 2.0, **kw),
         "I_tilde_p_star": I_tilde_p_star([ball, ell], 2.0, **kw),
         "volume_mc": volume(ell, method="monte-carlo", **kw),

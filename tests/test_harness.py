@@ -81,7 +81,11 @@ class TestConfig:
     @pytest.mark.parametrize(
         "field, value",
         [("n", 4), ("n", 1), ("n", 2.0), ("samples", 0), ("samples", -5),
-         ("samples", 1024.5), ("max_doublings", -1), ("max_doublings", 1.0)],
+         ("samples", 1024.5), ("max_doublings", -1), ("max_doublings", 1.0),
+         ("p", 0.5), ("p", math.nan), ("p", math.inf), ("p", "2"),
+         ("lam", 0.3), ("lam", 1.0), ("lam", math.nan), ("lam", "2"),
+         ("target_rel_stderr", -1.0), ("target_rel_stderr", 0.0),
+         ("target_rel_stderr", math.inf), ("corpus", "bogus")],
     )
     def test_bad_field_names_itself_and_its_value(self, field, value):
         with pytest.raises(ValueError, match=rf"config {field} .*got {value!r}$"):

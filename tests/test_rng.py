@@ -22,6 +22,15 @@ class TestSubstream:
         b = rngmod.substream(2, "x").uniform(size=5)
         assert not np.array_equal(a, b)
 
+    def test_objects_are_named_by_their_label(self):
+        from convexgeom.bodies import Ball
+        from convexgeom.funcspace import bump_profile, radial_function
+
+        f = radial_function(bump_profile(3), Ball(1.0, 2))
+        a = rngmod.substream(42, "x", f).uniform(size=5)
+        b = rngmod.substream(42, "x", f.label).uniform(size=5)
+        assert np.array_equal(a, b)
+
     def test_numeric_keys_allowed(self):
         a = rngmod.substream(42, "case", 3).uniform(size=3)
         b = rngmod.substream(42, "case", 3).uniform(size=3)
