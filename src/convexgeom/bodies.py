@@ -31,6 +31,7 @@ __all__ = [
     "Polar",
     "NumericSupport",
     "standard_simplex",
+    "hull_vertices",
     "polar",
     "linear_image",
     "support",
@@ -240,53 +241,91 @@ class LqBall(ConvexBody):
         )
 
     def volume_exact(self):
-        from scipy.special import gamma
-
         q, n = self.q, self.dim
-        return (2 * gamma(1 / q + 1)) ** n / gamma(n / q + 1)
+        return (2 * math.gamma(1 / q + 1)) ** n / math.gamma(n / q + 1)
 
     def __repr__(self):
         return f"LqBall(q={self.q:g}, n={self.dim})"
 
 
+def hull_vertices(points) -> np.ndarray:
+    """Indices of the extreme points of a (k, n) point cloud.
+
+    In the plane, Andrew's monotone chain gives them counter-clockwise,
+    from the leftmost (then lowest) point.  A point closer to the chord
+    between its neighbours than 4 eps times the largest coordinate is
+    dropped, as are duplicates: like qhull, the chain makes no vertex of
+    a point that is collinear up to rounding.  In higher dimensions
+    qhull's own vertex list is returned.
+    """
+    P = np.asarray(points, dtype=float)
+    if P.shape[1] != 2:
+        from scipy.spatial import ConvexHull
+
+        return ConvexHull(P).vertices
+    tol = 4 * np.finfo(float).eps * float(np.max(np.abs(P)))
+    xy = P.tolist()
+
+    def chain(order):
+        out: list[int] = []
+        for i in order:
+            bx, by = xy[i]
+            while len(out) >= 2:
+                (ox, oy), (ax, ay) = xy[out[-2]], xy[out[-1]]
+                # the cross product over |b - o| is the distance of a from
+                # the chord ob, positive when o, a, b turn left
+                cross = (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+                if cross > tol * math.hypot(bx - ox, by - oy):
+                    break
+                out.pop()
+            out.append(i)
+        return out
+
+    order = np.lexsort((P[:, 1], P[:, 0])).tolist()
+    lower, upper = chain(order), chain(order[::-1])
+    return np.array(lower[:-1] + upper[:-1])
+
+
 class Polytope(ConvexBody):
     """Convex hull of a vertex list, with the origin interior.
 
-    Stores both the vertices and the facet inequalities <u_j, x> <= h_j
-    (via scipy's convex hull), so support and gauge are exact maxima.
+    Stores both the vertices and the facet inequalities <u_j, x> <= h_j,
+    so support and gauge are exact maxima.  A polygon's facets are the
+    edges between its counter-clockwise vertices (:func:`hull_vertices`);
+    in higher dimensions they are qhull's simplicial facets.
     """
 
     def __init__(self, vertices):
-        from scipy.spatial import ConvexHull
-
         V = np.asarray(vertices, dtype=float)
         if V.ndim != 2:
             raise ValueError("vertices must be a (k, n) array")
         self.dim = V.shape[1]
-        hull = ConvexHull(V)
-        self.vertices = V[hull.vertices]
-        # equations rows are (normal, offset) with normal . x + offset <= 0
-        eq = hull.equations
-        self._normals = eq[:, :-1]
-        self._offsets = -eq[:, -1]
-        self._hull_volume = hull.volume
-        self._facet_areas = self._areas(hull)
-        self.bounding_radius = float(np.max(np.linalg.norm(self.vertices, axis=1)))
-
-    def _areas(self, hull):
         if self.dim == 2:
-            # facet k is the edge between consecutive hull vertices
+            self.vertices = V[hull_vertices(V)]
+            if len(self.vertices) < 3:
+                raise ValueError("polygon vertices are collinear")
+            edges = np.roll(self.vertices, -1, axis=0) - self.vertices
+            self._facet_areas = np.hypot(edges[:, 0], edges[:, 1])
+            self._normals = np.stack([edges[:, 1], -edges[:, 0]], 1) / self._facet_areas[:, None]
+            self._offsets = np.sum(self._normals * self.vertices, axis=1)
+            self._hull_volume = 0.5 * float(self._facet_areas @ self._offsets)
+        else:
+            from scipy.spatial import ConvexHull
+
+            hull = ConvexHull(V)
+            self.vertices = V[hull.vertices]
+            # equations rows are (normal, offset) with normal . x + offset <= 0
+            eq = hull.equations
+            self._normals = eq[:, :-1]
+            self._offsets = -eq[:, -1]
+            self._hull_volume = hull.volume
             areas = []
             for sim in hull.simplices:
-                a, b = hull.points[sim[0]], hull.points[sim[1]]
-                areas.append(np.linalg.norm(a - b))
-            return np.array(areas)
-        areas = []
-        for sim in hull.simplices:
-            pts = hull.points[sim]
-            e1, e2 = pts[1] - pts[0], pts[2] - pts[0]
-            areas.append(0.5 * np.linalg.norm(np.cross(e1, e2)))
-        return np.array(areas)
+                pts = hull.points[sim]
+                e1, e2 = pts[1] - pts[0], pts[2] - pts[0]
+                areas.append(0.5 * np.linalg.norm(np.cross(e1, e2)))
+            self._facet_areas = np.array(areas)
+        self.bounding_radius = float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     def support(self, xi):
         return np.max(_rows(xi) @ self.vertices.T, axis=1)

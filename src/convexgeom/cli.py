@@ -32,7 +32,7 @@ import numpy as np
 
 from . import rng as rngmod
 from .bodies import Ball, Cube, Ellipsoid, LqBall, standard_simplex, volume
-from .constants import derived_constants, cache
+from .constants import cache, derived_constants, lambda_admissible
 from .harness import CORPORA, RunConfig, case_ids, emit, emit_sweep, run, sweep_configs
 
 
@@ -46,6 +46,12 @@ def _count(x: float):
     """A whole --samples value as an int; anything else is left for
     RunConfig to reject by name."""
     return int(x) if x.is_integer() else x
+
+
+def _check(ok: bool, field: str, rule: str, value) -> None:
+    """Reject a flag value by name, in the words ``RunConfig`` uses."""
+    if not ok:
+        raise ValueError(f"{field} must be {rule}, got {value!r}")
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -169,7 +175,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    table = derived_constants(args.n, args.p, lam=args.lam)
+    n, p, lam = args.n, args.p, args.lam
+    try:
+        _check(n >= 2, "n", "an integer >= 2", n)
+        _check(1 <= p < math.inf, "p", "a finite number >= 1", p)
+        if lam is not None:
+            _check(lambda_admissible(lam, n, p), "lam",
+                   f"inf or in (n/(n+p), 1) u (1, inf) = ({n / (n + p):g}, 1) u (1, inf)", lam)
+    except ValueError as exc:
+        print(f"convexgeom constants: {exc}", file=sys.stderr)
+        return 2
+    table = derived_constants(n, p, lam=lam)
     out = {name: rec.to_json() for name, rec in table.items()}
     if args.dump:
         out["_cache"] = [rec.to_json() for rec in cache().records()]
@@ -178,22 +194,38 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_body_volume(args: argparse.Namespace) -> int:
+def _body(args: argparse.Namespace):
+    n = args.n
+    _check(n >= 2, "n", "an integer >= 2", n)
     if args.kind == "ball":
-        body = Ball(args.radius, args.n)
-    elif args.kind == "cube":
-        body = Cube(args.half_side, args.n)
-    elif args.kind == "simplex":
-        body = standard_simplex(args.n)
-    elif args.kind == "lqball":
-        body = LqBall(args.q, args.n)
-    else:
-        diag = [float(v) for v in (args.diag or ",".join(["1"] * args.n)).split(",")]
-        if len(diag) != args.n:
-            print("--diag length must equal --n", file=sys.stderr)
-            return 2
-        body = Ellipsoid(np.diag(diag))
-    est = volume(body, budget=args.budget, seed=args.seed, method=args.method)
+        _check(0 < args.radius < math.inf, "radius", "a finite number > 0", args.radius)
+        return Ball(args.radius, n)
+    if args.kind == "cube":
+        _check(0 < args.half_side < math.inf, "half_side", "a finite number > 0", args.half_side)
+        return Cube(args.half_side, n)
+    if args.kind == "simplex":
+        return standard_simplex(n)
+    if args.kind == "lqball":
+        _check(1 < args.q < math.inf, "q", "a finite number > 1", args.q)
+        return LqBall(args.q, n)
+    text = args.diag or ",".join(["1"] * n)
+    try:
+        diag = [float(v) for v in text.split(",")]
+    except ValueError:
+        diag = []
+    _check(len(diag) == n and all(math.isfinite(d) and d != 0 for d in diag), "diag",
+           f"{n} comma-separated finite nonzero numbers", text)
+    return Ellipsoid(np.diag(diag))
+
+
+def _cmd_body_volume(args: argparse.Namespace) -> int:
+    try:
+        _check(args.budget >= 1, "budget", "an integer >= 1", args.budget)
+        body = _body(args)
+        est = volume(body, budget=args.budget, seed=args.seed, method=args.method)
+    except ValueError as exc:
+        print(f"convexgeom body volume: {exc}", file=sys.stderr)
+        return 2
     print(json.dumps({
         "body": repr(body),
         "volume": est.value,
@@ -209,6 +241,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     try:
+        _check(args.iters >= 1, "iters", "an integer >= 1", args.iters)
         base = RunConfig(
             corpus="standard" if args.search == "random-polytopes" else "smooth",
             n=args.n,

@@ -3,9 +3,12 @@
 Constants that the literature only gives by reference are never
 transcribed from outside sources: they are derived inside the package
 from their defining equality cases on balls, either in closed form
-(gamma functions) or by 1-D radial quadrature, and carry their
-provenance in their records.  One-dimensional quadratures are the
-precision anchor; they target 1e-10 absolute tolerance.
+(gamma functions from ``math``) or by 1-D radial quadrature, and carry
+their provenance in their records.  One-dimensional quadratures are the
+precision anchor.  Every one of them, here and in ``funcspace``, goes
+through :func:`integrate_1d`, the package's own vectorised, globally
+adaptive Gauss-Legendre rule, which targets a relative error of
+``QUAD_TOL``.
 """
 
 from __future__ import annotations
@@ -14,19 +17,102 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import beta, gamma, gammaln
 
 from .estimate import CLOSED_FORM, QUADRATURE
 
-QUAD_TOL = 1e-10
+QUAD_TOL = 1e-10  # relative to the integral of |f|
+
+# 10/21-point Gauss-Legendre pair on [-1, 1]: the 21-point sum is the
+# value, its distance to the 10-point sum the error estimate
+_X21, _W21 = np.polynomial.legendre.leggauss(21)
+_X10, _W10 = np.polynomial.legendre.leggauss(10)
+_NODES = np.concatenate([_X21, _X10])
+# starting partition of the map variable u in [0, 1], graded toward
+# u = 0 down to 2^-20; toward u = 1 equally deep for an infinite upper
+# limit, but only to 2^-8 for a finite one, where t = b - 3(b-a)(1-u)^2
+# would round to b and an integrable singularity there would be lost
+_LEFT = np.concatenate([[0.0], 4.0 ** -np.arange(10, 0, -1), [0.5]])
+_EDGES_FINITE = np.concatenate([_LEFT, 1 - 4.0 ** -np.arange(1, 5), [1.0]])
+_EDGES_INFINITE = np.concatenate([_LEFT, 1 - 4.0 ** -np.arange(1, 11), [1.0]])
+_MAX_INTERVALS = 2000
+
+
+def integrate_1d(f, a: float, b: float) -> float:
+    """Integral of ``f`` over [a, b], where b may be infinite.
+
+    ``f`` is vectorised: it maps a 1-D array of points to their values,
+    and each pass calls it once, on the nodes of every interval still
+    being refined.  The variable is u in [0, 1] with
+    t = a + (b-a)(3u^2 - 2u^3), or t = a + phi/(1-phi) with
+    phi = 3u^2 - 2u^3 when b is infinite, so algebraic endpoint
+    singularities and tails become smooth in u.  Each interval gets a
+    10/21-point Gauss-Legendre pair; the sweep stops once the summed
+    error estimates are at most ``QUAD_TOL`` times the integral of |f|,
+    and otherwise bisects every interval above its share of that bound.
+
+    Raises ``ValueError``, naming the interval in t, on a non-finite
+    value, on an interval too narrow to bisect, or past
+    ``_MAX_INTERVALS`` intervals; it never returns an unconverged value.
+    """
+    a, b = float(a), float(b)
+    infinite = b == math.inf
+    edges = _EDGES_INFINITE if infinite else _EDGES_FINITE
+
+    def to_t(u):
+        phi = u * u * (3 - 2 * u)
+        if infinite:
+            rest = (1 - u) ** 2 * (1 + 2 * u)  # 1 - phi without cancellation
+            return a + phi / rest, 6 * u * (1 - u) / (rest * rest)
+        return a + (b - a) * phi, 6 * (b - a) * u * (1 - u)
+
+    def span(lo, hi) -> str:
+        with np.errstate(divide="ignore", invalid="ignore"):  # t = inf at u = 1
+            t = to_t(np.array([lo, hi]))[0]
+        return f"[{t[0]:.17g}, {t[1]:.17g}]"
+
+    lo, hi = edges[:-1], edges[1:]
+    done = np.empty((0, 5))  # lo, hi, value, error, integral of |f|
+    while True:
+        half = 0.5 * (hi - lo)
+        t, jac = to_t((lo + half)[:, None] + half[:, None] * _NODES)
+        y = np.asarray(f(t.ravel()), dtype=float).reshape(t.shape) * jac
+        g21 = half * (y[:, :21] @ _W21)
+        g10 = half * (y[:, 21:] @ _W10)
+        bad = ~np.isfinite(g21 + g10)
+        if bad.any():
+            raise ValueError(f"integrand not finite on {span(lo[bad][0], hi[bad][0])}")
+        new = np.stack([lo, hi, g21, np.abs(g21 - g10), half * (np.abs(y[:, :21]) @ _W21)], 1)
+        cur = np.concatenate([done, new])
+        bound = QUAD_TOL * math.fsum(cur[:, 4])
+        if math.fsum(cur[:, 3]) <= bound:
+            return math.fsum(cur[:, 2])
+        split = cur[:, 3] > bound / len(cur)
+        lo, hi = cur[split, 0], cur[split, 1]
+        mid = 0.5 * (lo + hi)
+        narrow = (mid <= lo) | (mid >= hi)
+        if narrow.any():
+            raise ValueError(f"cannot bisect {span(lo[narrow][0], hi[narrow][0])} further")
+        if len(cur) + len(mid) > _MAX_INTERVALS:
+            worst = np.argmax(cur[:, 3])
+            raise ValueError(f"no convergence within {_MAX_INTERVALS} intervals; worst "
+                             f"error on {span(cur[worst, 0], cur[worst, 1])}")
+        done = cur[~split]
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+
+
+def _beta(x: float, y: float) -> float:
+    return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
 def omega_n(n: int) -> float:
-    """Volume of the unit euclidean ball in dimension n."""
+    """Volume of the unit euclidean ball in dimension n: pi^k / k! for
+    n = 2k and 2 (2 pi)^k / n!! for n = 2k + 1, so omega_1 is exactly 2."""
     if n < 1:
         raise ValueError("dimension must be at least 1")
-    return math.pi ** (n / 2) / gamma(n / 2 + 1)
+    k, odd = divmod(n, 2)
+    if odd:
+        return 2 * (2 * math.pi) ** k / math.prod(range(1, n + 1, 2))
+    return math.pi**k / math.factorial(k)
 
 
 def petty_bound(n: int) -> float:
@@ -102,7 +188,7 @@ def c_np(n: int, p: float) -> ConstantRecord:
         return ConstantRecord(
             "c_np",
             {"n": n, "p": p},
-            w * beta((p + 1) / 2, (n + 1) / 2) / omega_n(n),
+            w * _beta((p + 1) / 2, (n + 1) / 2) / omega_n(n),
             CLOSED_FORM,
             "beta function of the ball slice integral",
         )
@@ -151,9 +237,9 @@ def moment_constant(n: int, p: float, lam: float) -> ConstantRecord:
         lamp = holder_conjugate(lam)
         g = moment_profile(p, lam)
         T = np.inf if lam < 1 else 1.0
-        r1, _ = quad(lambda r: r ** (n - 1) * g(r), 0, T, epsabs=QUAD_TOL)
-        rl, _ = quad(lambda r: r ** (n - 1) * g(r) ** lam, 0, T, epsabs=QUAD_TOL)
-        rp, _ = quad(lambda r: r ** (n + p - 1) * g(r), 0, T, epsabs=QUAD_TOL)
+        r1 = integrate_1d(lambda r: r ** (n - 1) * g(r), 0, T)
+        rl = integrate_1d(lambda r: r ** (n - 1) * g(r) ** lam, 0, T)
+        rp = integrate_1d(lambda r: r ** (n + p - 1) * g(r), 0, T)
         nw = n * omega_n(n)
         vtil = (n + p) / n * nw * rp
         l1 = nw * r1
@@ -206,8 +292,8 @@ def cnv_np(n: int, p: float) -> ConstantRecord:
         F = sobolev_profile(p, n)
         dF = sobolev_profile_deriv(p, n)
         pstar = n * p / (n - p)
-        grad_int, _ = quad(lambda r: r ** (n - 1) * np.abs(dF(r)) ** p, 0, np.inf, epsabs=QUAD_TOL)
-        norm_int, _ = quad(lambda r: r ** (n - 1) * F(r) ** pstar, 0, np.inf, epsabs=QUAD_TOL)
+        grad_int = integrate_1d(lambda r: r ** (n - 1) * np.abs(dF(r)) ** p, 0, math.inf)
+        norm_int = integrate_1d(lambda r: r ** (n - 1) * F(r) ** pstar, 0, math.inf)
         nw = n * omega_n(n)
         lhs = (1.0 / n) * nw * grad_int
         rhs = (nw * norm_int) ** (p / pstar) * omega_n(n) ** (p / n)
@@ -238,7 +324,8 @@ def sobolev_constant(n: int, p: float) -> ConstantRecord:
 def levelset_constant(n: int, p: float, lam: float) -> float:
     """Sharp constant of the 1-D level-set inequality.
 
-    Closed form via Gamma functions; the profile-integral factor enters
+    Closed form via Gamma functions (log-gamma differences, so that lam
+    near 1 does not overflow); the profile-integral factor enters
     to the power p/(n+p), matching the r-minimization in the proof of
     the bound (and the equality case at the extremal profile).
     """
@@ -252,15 +339,15 @@ def levelset_constant(n: int, p: float, lam: float) -> float:
             (1 - lam)
             * (p / (n + p)) ** (p / ((lam - 1) * (n + p)))
             * (lam - n / (n + p)) ** ((n - lam * (n + p)) / ((lam - 1) * (n + p)))
-            * (gamma(1 / (1 - lam)) / (gamma(n / p + 2) * gamma(lam / (1 - lam) - n / p)))
-            ** b
+            * math.exp(b * (math.lgamma(1 / (1 - lam)) - math.lgamma(n / p + 2)
+                            - math.lgamma(lam / (1 - lam) - n / p)))
         )
     return (
         (lam - 1)
         * (p / (n + p)) ** (p / ((lam - 1) * (n + p)))
         * (lam + p / (n + p) - 1) ** ((-lam * n + n - lam * p) / ((lam - 1) * (n + p)))
-        * (gamma(n / p + 1 / (lam - 1) + 2) / (gamma(lam / (lam - 1)) * gamma(n / p + 2)))
-        ** b
+        * math.exp(b * (math.lgamma(n / p + 1 / (lam - 1) + 2) - math.lgamma(lam / (lam - 1))
+                        - math.lgamma(n / p + 2)))
     )
 
 
@@ -271,10 +358,10 @@ def levelset_constant_minimized(n: int, p: float, lam: float) -> float:
     beta = p / (n + p)
     G, M = 1.3, 0.7  # arbitrary positive moments; the ratio is invariant
     if lam > 1:
-        C, _ = quad(lambda t: (1 - t ** (lam - 1)) ** ((n + p) / p), 0, 1, epsabs=QUAD_TOL)
+        C = integrate_1d(lambda t: (1 - t ** (lam - 1)) ** ((n + p) / p), 0, 1)
         phi = lambda r: (G - r ** (1 - lam) * M) * C ** (-beta) * r ** (-beta)
     else:
-        C, _ = quad(lambda t: (t ** (lam - 1) - 1) ** ((n + p) / p), 0, 1, epsabs=QUAD_TOL)
+        C = integrate_1d(lambda t: (t ** (lam - 1) - 1) ** ((n + p) / p), 0, 1)
         phi = lambda r: (M - r ** (lam - 1) * G) * r ** (n / (n + p) - lam) * C ** (-beta)
     res = minimize_scalar(
         lambda u: -phi(math.exp(u)), bounds=(-25, 25), method="bounded",
@@ -296,10 +383,9 @@ def _sphere_det_moment(n: int, p: float) -> float:
     prod_{i=1..n} Gamma((i+p)/2)/Gamma(i/2) * [Gamma(n/2)/Gamma((n+p)/2)]^n
     (R. E. Miles, "Isotropic random simplices", Adv. Appl. Prob. 3, 1971).
     """
-    i = np.arange(1, n + 1)
-    log_s = np.sum(gammaln((i + p) / 2) - gammaln(i / 2))
-    log_s += n * (gammaln(n / 2) - gammaln((n + p) / 2))
-    return float(np.exp(log_s))
+    log_s = sum(math.lgamma((i + p) / 2) - math.lgamma(i / 2) for i in range(1, n + 1))
+    log_s += n * (math.lgamma(n / 2) - math.lgamma((n + p) / 2))
+    return math.exp(log_s)
 
 
 def b_np(n: int, p: float) -> ConstantRecord:

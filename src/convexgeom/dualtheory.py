@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import rng as rngmod
 from .bodies import ConvexBody
@@ -288,6 +287,8 @@ def omega_p_levelset(
     then a spherical quadrature with the star-shaped area element
     r^{n-1} |grad l| / |<grad l, u>|.
     """
+    from scipy.optimize import brentq
+
     n = l.dim
     rule = sphere_rule(n, 512 if n == 2 else 64)
     R = rmax if rmax is not None else l.box * math.sqrt(n)

@@ -10,7 +10,6 @@ volume, and that identity is exposed as a consistency check.
 from __future__ import annotations
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from . import rng as rngmod
 from .bodies import (
@@ -20,6 +19,7 @@ from .bodies import (
     Ellipsoid,
     NumericSupport,
     Polytope,
+    hull_vertices,
     sample_uniform,
     volume,
 )
@@ -305,7 +305,7 @@ def projection_body(L: ConvexBody) -> ConvexBody:
             V = np.vstack([V + g, V - g])
             # prune to the extreme points once the sum is full-dimensional
             if np.linalg.matrix_rank(V - V[0]) == n:
-                V = V[ConvexHull(V).vertices]
+                V = V[hull_vertices(V)]
         return Polytope(V)
     raise ValueError(f"no exact projection body for {L!r}")
 

@@ -10,6 +10,7 @@ azimuth.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,10 @@ class SphereRule:
         return float(np.dot(self.weights, values))
 
 
+@functools.cache
 def sphere_rule(n: int, level: int = 256) -> SphereRule:
-    """Quadrature rule on S^{n-1}.
+    """Quadrature rule on S^{n-1}, built once per (n, level) and shared:
+    its node and weight arrays are read-only.
 
     Parameters
     ----------
@@ -51,8 +54,7 @@ def sphere_rule(n: int, level: int = 256) -> SphereRule:
         theta = (np.arange(level) + 0.5) * (2 * np.pi / level)
         nodes = np.stack([np.cos(theta), np.sin(theta)], axis=1)
         weights = np.full(level, 2 * np.pi / level)
-        return SphereRule(nodes, weights, level)
-    if n == 3:
+    elif n == 3:
         m_pol = max(level // 2, 4)
         x, w = np.polynomial.legendre.leggauss(m_pol)  # cos(polar) in [-1, 1]
         phi = (np.arange(level) + 0.5) * (2 * np.pi / level)
@@ -61,8 +63,11 @@ def sphere_rule(n: int, level: int = 256) -> SphereRule:
         ph = np.tile(phi, m_pol)
         nodes = np.stack([st * np.cos(ph), st * np.sin(ph), ct], axis=1)
         weights = np.repeat(w, level) * (2 * np.pi / level)
-        return SphereRule(nodes, weights, level)
-    raise ValueError("quadrature rules implemented for n in {2, 3}")
+    else:
+        raise ValueError("quadrature rules implemented for n in {2, 3}")
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return SphereRule(nodes, weights, level)
 
 
 def sample_sphere(rng: np.random.Generator, n: int, size: int = 1) -> np.ndarray:

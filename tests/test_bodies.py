@@ -15,6 +15,7 @@ from convexgeom.bodies import (
     LqBall,
     NumericSupport,
     Polytope,
+    hull_vertices,
     linear_image,
     polar,
     sample_uniform,
@@ -131,6 +132,94 @@ class TestPolytopes:
     def test_simplex_contains_centroid(self):
         S = standard_simplex(3, centered=True)
         assert S.gauge(np.zeros((1, 3)))[0] < 1.0
+
+
+def _polytopes_built_by_verify(monkeypatch) -> list[np.ndarray]:
+    """The point clouds whose hull ``verify --n 2 --seed 7`` takes: every
+    ``Polytope`` and every zonotope pruning step of ``projection_body``.
+    Which polytopes are built does not depend on the sample budget."""
+    from convexgeom import functionals, harness
+
+    clouds = []
+    init, prune = Polytope.__init__, functionals.hull_vertices
+
+    def spy_init(self, vertices):
+        clouds.append(np.asarray(vertices, dtype=float))
+        init(self, vertices)
+
+    def spy_prune(points):
+        clouds.append(np.asarray(points, dtype=float))
+        return prune(points)
+
+    with monkeypatch.context() as m:
+        m.setattr(Polytope, "__init__", spy_init)
+        m.setattr(functionals, "hull_vertices", spy_prune)
+        harness.run(harness.RunConfig(n=2, seed=7, samples=256, max_doublings=0))
+    return clouds
+
+
+class TestHull2D:
+    """Andrew's monotone chain against qhull (scipy, in tests only)."""
+
+    @staticmethod
+    def _check(points):
+        from scipy.spatial import ConvexHull
+
+        points = np.asarray(points, dtype=float)
+        ref = ConvexHull(points)
+        idx = hull_vertices(points)
+        got, want = points[idx], points[ref.vertices]
+        assert len(got) == len(want)
+        assert {tuple(v) for v in got} == {tuple(v) for v in want}
+        # counter-clockwise: every consecutive cross product is positive
+        e = np.roll(got, -1, axis=0) - got
+        assert np.all(e[:, 0] * np.roll(e, -1, axis=0)[:, 1]
+                      - e[:, 1] * np.roll(e, -1, axis=0)[:, 0] > 0)
+        P = Polytope(points)
+        assert repr(P) == f"Polytope({len(ref.vertices)} vertices, n=2)"
+        assert P.volume_exact() == pytest.approx(ref.volume, rel=1e-12)
+        lengths = np.sort(P.facets()[1])
+        ref_lengths = np.sort(np.linalg.norm(
+            points[ref.simplices[:, 0]] - points[ref.simplices[:, 1]], axis=1))
+        np.testing.assert_allclose(lengths, ref_lengths, rtol=1e-12)
+        return P
+
+    def test_random_clouds(self):
+        gen = rngmod.substream(12, "hull")
+        for size in (3, 4, 7, 20, 200):
+            for scale in (1e-3, 1.0, 1e3):
+                self._check(gen.normal(size=(size, 2)) * scale)
+
+    def test_collinear_and_duplicate_points_are_not_vertices(self):
+        square = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        on_edges = np.array([[0.0, 1.0], [1.0, 0.3], [-1.0, -0.5], [0.1, -1.0]])
+        pts = np.vstack([square, on_edges, square[:2], [[0.0, 0.0]]])
+        P = self._check(pts)
+        assert len(P.vertices) == 4
+        # collinear up to rounding: a third of the way along a rotated edge
+        a, b = np.array([0.3, 1.7]), np.array([1.9, -0.4])
+        self._check(np.array([a, b, a + (b - a) / 3, [-1.0, -1.0]]))
+
+    def test_all_collinear_is_rejected(self):
+        with pytest.raises(ValueError, match="collinear"):
+            Polytope(np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [1.0, 1.0]]))
+
+    def test_polars(self):
+        self._check(Cube(1.0, 2).polar().vertices)
+        gen = rngmod.substream(13, "hull")
+        ang = np.sort(gen.uniform(0, 2 * np.pi, 9))
+        P = Polytope(np.stack([np.cos(ang), np.sin(ang)], axis=1) * gen.uniform(0.5, 1.5, 9)[:, None])
+        Q = P.polar()
+        self._check(Q.vertices)
+        # the polar of the polar is the polytope itself
+        np.testing.assert_allclose(Q.polar().support(sphere_rule(2, 64).nodes),
+                                   P.support(sphere_rule(2, 64).nodes), rtol=1e-12)
+
+    def test_every_polygon_that_verify_builds(self, monkeypatch):
+        clouds = _polytopes_built_by_verify(monkeypatch)
+        assert len(clouds) >= 70
+        for points in clouds:
+            self._check(points)
 
 
 def _rotation(n):

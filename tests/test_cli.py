@@ -29,6 +29,30 @@ class TestBodyVolume:
                    "--diag", "2,0.5"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--kind", "ball", "--n", "0"], "n must be an integer >= 2, got 0"),
+            (["--kind", "ball", "--radius", "-1"], "radius must be a finite number > 0, got -1.0"),
+            (["--kind", "cube", "--half-side", "nan"],
+             "half_side must be a finite number > 0, got nan"),
+            (["--kind", "lqball", "--q", "0.5"], "q must be a finite number > 1, got 0.5"),
+            (["--kind", "ellipsoid", "--diag", "1,0"],
+             "diag must be 2 comma-separated finite nonzero numbers, got '1,0'"),
+            (["--kind", "ellipsoid", "--diag", "1,x"],
+             "diag must be 2 comma-separated finite nonzero numbers, got '1,x'"),
+            (["--kind", "ball", "--method", "monte-carlo", "--budget", "0"],
+             "budget must be an integer >= 1, got 0"),
+            (["--kind", "ball", "--method", "triangulation"], "triangulation requires a polytope"),
+        ],
+    )
+    def test_bad_input_exits_2_naming_the_field(self, capsys, flags, message):
+        rc = main(["body", "volume", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"convexgeom body volume: {message}" in captured.err
+        assert captured.out == ""
+
 
 class TestConstants:
     def test_table_is_json(self, capsys):
@@ -54,6 +78,25 @@ class TestConstants:
     def test_constants_takes_no_seed(self, capsys):
         with pytest.raises(SystemExit):
             main(["constants", "--seed", "7"])
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "0.5"], "p must be a finite number >= 1, got 0.5"),
+            (["--p", "nan"], "p must be a finite number >= 1, got nan"),
+            (["--n", "1"], "n must be an integer >= 2, got 1"),
+            (["--lambda", "0.3"],
+             "lam must be inf or in (n/(n+p), 1) u (1, inf) = (0.5, 1) u (1, inf), got 0.3"),
+            (["--lambda", "nan"],
+             "lam must be inf or in (n/(n+p), 1) u (1, inf) = (0.5, 1) u (1, inf), got nan"),
+        ],
+    )
+    def test_bad_input_exits_2_naming_the_field(self, capsys, flags, message):
+        rc = main(["constants", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert f"convexgeom constants: {message}" in captured.err
+        assert captured.out == ""
 
 
 class TestVerify:
@@ -126,6 +169,8 @@ class TestProbe:
         [
             (["--samples", "0"], "samples must be an integer >= 1, got 0"),
             (["--n", "4"], "n must be 2 or 3, got 4"),
+            (["--iters", "0"], "iters must be an integer >= 1, got 0"),
+            (["--iters", "-3"], "iters must be an integer >= 1, got -3"),
         ],
     )
     def test_bad_config_exits_2_naming_the_field(self, capsys, flags, message):

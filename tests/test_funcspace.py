@@ -67,6 +67,14 @@ class TestProfiles:
         d2 = prof.d2F(t)
         assert np.all(np.isfinite(d2))
 
+    def test_mollified_indicator_is_nonnegative_next_to_one(self):
+        # 1 - smoothstep rounds below zero just inside t = 1, where a
+        # fractional power of F would be NaN
+        prof = mollified_indicator_profile(0.04)
+        t = 1 - np.logspace(-16, -2, 2000)
+        assert np.all(prof.F(t) >= 0)
+        assert np.all(np.isfinite(prof.power(0.9).F(t)))
+
 
 class TestNormalizations:
     def test_radial_representative_surface_normalization(self):
@@ -173,6 +181,20 @@ class TestFunctionalPairings:
 
         ref = surface_measure(Ball(1.0, 2), p).total_mass()
         assert abs(total.value - ref.value) <= 3 * total.stderr + 1e-6
+
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_surface_measure_f_box_branch_matches_pushforward(self, p):
+        # the same bump without its profile/body pair takes the box
+        # sampler; both measures must agree on their total mass and on a
+        # moment of the first coordinate
+        radial = radial_function(bump_profile(3), Ellipsoid(np.diag([1.25, 0.8])))
+        generic = dataclasses.replace(radial, profile=None, body=None, sup=None,
+                                      label="generic-bump")
+        for seed, fn in [(5, lambda u: np.ones(len(u))), (6, lambda u: np.abs(u[:, 0]) ** p)]:
+            a = surface_measure_f(radial, p).integrate(fn, budget=1 << 16, seed=seed)
+            b = surface_measure_f(generic, p).integrate(fn, budget=1 << 16, seed=seed)
+            assert abs(a.value - b.value) <= 3 * math.hypot(a.stderr, b.stderr)
 
 
 class TestPower:

@@ -41,6 +41,16 @@ class TestRule:
         assert a == pytest.approx(b, rel=1e-6)
 
 
+class TestCache:
+    def test_rule_is_built_once_and_read_only(self):
+        rule = sphere_rule(3, 48)
+        assert sphere_rule(3, 48) is rule
+        assert sphere_rule(3, 64) is not rule
+        for arr in (rule.nodes, rule.weights):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.0
+
+
 class TestSampling:
     def test_samples_on_sphere(self):
         gen = rngmod.substream(3, "sph")
