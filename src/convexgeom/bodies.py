@@ -249,20 +249,19 @@ class LqBall(ConvexBody):
 
 
 def hull_vertices(points) -> np.ndarray:
-    """Indices of the extreme points of a (k, n) point cloud.
+    """Indices of the extreme points of a full-dimensional (k, n) cloud.
 
     In the plane, Andrew's monotone chain gives them counter-clockwise,
     from the leftmost (then lowest) point.  A point closer to the chord
     between its neighbours than 4 eps times the largest coordinate is
     dropped, as are duplicates: like qhull, the chain makes no vertex of
-    a point that is collinear up to rounding.  In higher dimensions
-    qhull's own vertex list is returned.
+    a point that is collinear up to rounding.  In higher dimensions the
+    beneath-beyond hull of :func:`_hull` gives them in input order, with
+    the same tolerance for coplanar points.
     """
     P = np.asarray(points, dtype=float)
     if P.shape[1] != 2:
-        from scipy.spatial import ConvexHull
-
-        return ConvexHull(P).vertices
+        return _hull(P)[0]
     tol = 4 * np.finfo(float).eps * float(np.max(np.abs(P)))
     xy = P.tolist()
 
@@ -286,45 +285,110 @@ def hull_vertices(points) -> np.ndarray:
     return np.array(lower[:-1] + upper[:-1])
 
 
+def _facet_planes(P, F, inside, minor_cols, signs):
+    """Outward unit normals and offsets of the simplices ``P[F]``.
+
+    The normal's i-th entry is the signed minor of the edge matrix
+    without column i; it points away from the interior point ``inside``.
+    """
+    V = P[F]
+    E = V[:, 1:] - V[:, :1]
+    N = np.linalg.det(E[:, :, minor_cols].transpose(0, 2, 1, 3)) * signs
+    h = (N * V[:, 0]).sum(axis=1)
+    s = np.sign(h - N @ inside) / np.sqrt((N * N).sum(axis=1))
+    return N * s[:, None], h * s
+
+
+def _hull(P: np.ndarray):
+    """Beneath-beyond convex hull of a full-dimensional (k, n) cloud.
+
+    Returns the extreme-point indices in input order, the simplicial
+    facets as (f, n) index rows into ``P``, and their outward unit
+    normals and offsets.  Starting from a large simplex, it inserts the
+    other points farthest first; a point beyond the hull replaces the
+    facets it sees by the cones from it over their horizon ridges
+    (Clarkson and Shor 1989; Barber, Dobkin and Huhdanpaa 1996).  A
+    point within 4 eps times the largest coordinate of a facet's plane
+    is on it: it is not beyond that facet, but it sees it once it is
+    beyond another, so coplanar, collinear and duplicate points do not
+    become vertices.
+    """
+    k, n = P.shape
+    tol = 4 * np.finfo(float).eps * float(np.max(np.abs(P)))
+    # each next simplex corner is the point farthest from the span so far
+    simplex = [int(np.argmin(P[:, 0]))]
+    R = P - P[simplex[0]]
+    for _ in range(n):
+        d = (R * R).sum(axis=1)
+        j = int(np.argmax(d))
+        if d[j] <= tol * tol:
+            raise ValueError("points are not full-dimensional")
+        simplex.append(j)
+        b = R[j] / math.sqrt(d[j])
+        R = R - np.outer(R @ b, b)
+    inside = P[simplex].mean(axis=0)
+    minor_cols = np.array([[j for j in range(n) if j != i] for i in range(n)])
+    signs = (-1.0) ** np.arange(n)
+    F = np.array([[s for s in simplex if s != t] for t in simplex])
+    N, off = _facet_planes(P, F, inside, minor_cols, signs)
+    far = (P @ N.T - off).max(axis=1)
+    far[simplex] = 0.0
+    for q in np.argsort(-far)[: np.count_nonzero(far > tol)].tolist():
+        d = N @ P[q] - off
+        if d.max() <= tol:
+            continue
+        keep = d <= -tol
+        # a ridge of only one seen facet is on the horizon
+        seen: dict[tuple, int] = {}
+        for f in F[~keep].tolist():
+            for i in range(n):
+                r = tuple(sorted(f[:i] + f[i + 1 :]))
+                seen[r] = seen.get(r, 0) + 1
+        new = np.array([r + (q,) for r, c in seen.items() if c == 1])
+        Nn, offn = _facet_planes(P, new, inside, minor_cols, signs)
+        F = np.concatenate([F[keep], new])
+        N = np.concatenate([N[keep], Nn])
+        off = np.concatenate([off[keep], offn])
+    used = np.zeros(k, dtype=bool)
+    used[F] = True
+    return np.flatnonzero(used), F, N, off
+
+
 class Polytope(ConvexBody):
     """Convex hull of a vertex list, with the origin interior.
 
     Stores both the vertices and the facet inequalities <u_j, x> <= h_j,
     so support and gauge are exact maxima.  A polygon's facets are the
     edges between its counter-clockwise vertices (:func:`hull_vertices`);
-    in higher dimensions they are qhull's simplicial facets.
+    in higher dimensions they are the simplicial facets of the
+    beneath-beyond hull (:func:`_hull`), with areas from the Gram
+    determinant of their edges.  Either way the volume is the cone sum
+    of area_j * h_j / n.
     """
 
     def __init__(self, vertices):
         V = np.asarray(vertices, dtype=float)
         if V.ndim != 2:
             raise ValueError("vertices must be a (k, n) array")
-        self.dim = V.shape[1]
-        if self.dim == 2:
+        n = self.dim = V.shape[1]
+        if n == 2:
             self.vertices = V[hull_vertices(V)]
             if len(self.vertices) < 3:
                 raise ValueError("polygon vertices are collinear")
+            k = len(self.vertices)
+            self._simplices = np.stack([np.arange(k), np.roll(np.arange(k), -1)], axis=1)
             edges = np.roll(self.vertices, -1, axis=0) - self.vertices
             self._facet_areas = np.hypot(edges[:, 0], edges[:, 1])
             self._normals = np.stack([edges[:, 1], -edges[:, 0]], 1) / self._facet_areas[:, None]
             self._offsets = np.sum(self._normals * self.vertices, axis=1)
-            self._hull_volume = 0.5 * float(self._facet_areas @ self._offsets)
         else:
-            from scipy.spatial import ConvexHull
-
-            hull = ConvexHull(V)
-            self.vertices = V[hull.vertices]
-            # equations rows are (normal, offset) with normal . x + offset <= 0
-            eq = hull.equations
-            self._normals = eq[:, :-1]
-            self._offsets = -eq[:, -1]
-            self._hull_volume = hull.volume
-            areas = []
-            for sim in hull.simplices:
-                pts = hull.points[sim]
-                e1, e2 = pts[1] - pts[0], pts[2] - pts[0]
-                areas.append(0.5 * np.linalg.norm(np.cross(e1, e2)))
-            self._facet_areas = np.array(areas)
+            idx, facets, self._normals, self._offsets = _hull(V)
+            self.vertices = V[idx]
+            self._simplices = np.searchsorted(idx, facets)
+            E = V[facets[:, 1:]] - V[facets[:, :1]]
+            gram = np.linalg.det(E @ E.transpose(0, 2, 1))
+            self._facet_areas = np.sqrt(gram) / math.factorial(n - 1)
+        self._hull_volume = float(self._facet_areas @ self._offsets) / n
         self.bounding_radius = float(np.max(np.linalg.norm(self.vertices, axis=1)))
 
     def support(self, xi):
@@ -580,8 +644,9 @@ def volume(
     ``method`` is one of ``"auto"`` (closed form if available, else
     radial quadrature for n <= 3, else Monte Carlo), ``"closed-form"``,
     ``"quadrature"`` (radial: vol = (1/n) * integral of r_K^n over the
-    sphere) or ``"monte-carlo"`` (rejection sampling in the bounding
-    box with a CLT standard error).
+    sphere), ``"triangulation"`` (polytopes only: the simplices spanned
+    by the vertex centroid and each facet) or ``"monte-carlo"``
+    (rejection sampling in the bounding box with a CLT standard error).
     """
     if method == "auto":
         v = body.volume_exact()
@@ -600,14 +665,8 @@ def volume(
     if method == "triangulation":
         if not isinstance(body, Polytope):
             raise ValueError("triangulation requires a polytope")
-        from scipy.spatial import Delaunay
-
-        tri = Delaunay(body.vertices)
-        total = 0.0
-        for sim in tri.simplices:
-            pts = body.vertices[sim]
-            total += abs(np.linalg.det(pts[1:] - pts[0])) / math.factorial(body.dim)
-        return quad_estimate(total)
+        S = body.vertices[body._simplices] - body.vertices.mean(axis=0)
+        return quad_estimate(float(np.abs(np.linalg.det(S)).sum()) / math.factorial(body.dim))
     if method == "monte-carlo":
         gen = rngmod.substream(seed, "volume", body)
         R = body.bounding_radius

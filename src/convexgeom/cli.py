@@ -16,8 +16,7 @@ probe
     minimum observed ratio.
 
 ``--config`` points to a JSON file whose entries override the
-command-line flags.  The thread count is controlled by the
-``CONVEXGEOM_THREADS`` environment variable.
+command-line flags.
 """
 
 from __future__ import annotations

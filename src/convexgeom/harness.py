@@ -14,7 +14,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -801,15 +800,7 @@ def run(config: RunConfig) -> Report:
             continue
         for label, ev in case.instances(config):
             jobs.append((case, label, ev))
-    threads = rngmod.thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda j: _evaluate(j[0], j[1], j[2], config), jobs)
-            )
-    else:
-        results = [_evaluate(case, label, ev, config) for case, label, ev in jobs]
-    return Report(config, results)
+    return Report(config, [_evaluate(case, label, ev, config) for case, label, ev in jobs])
 
 
 def emit(report: Report, json_path=None, csv_path=None) -> None:

@@ -11,15 +11,13 @@ or measures, all named by the one rule of :func:`substream`, and draws
 :func:`convexgeom.estimate.mc_direction_moments`; the latter evaluates
 each chunk on ``NODE_BLOCK`` sphere-rule nodes at a time, so a draw holds
 at most one chunk times one node block: ``CHUNK * NODE_BLOCK`` floats,
-8 MiB, per temporary, and each worker thread holds its own.  Results are
-therefore bit-reproducible for a given seed and budget, whatever the
-thread count.
+8 MiB, per temporary.  Results are therefore bit-reproducible for a
+given seed and budget, whatever the order in which cases run.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 
@@ -43,18 +41,6 @@ def substream(seed: int, *keys) -> np.random.Generator:
     for k in keys:
         entropy.extend(_key_to_ints(str(getattr(k, "label", k))))
     return np.random.default_rng(np.random.SeedSequence(entropy))
-
-
-def thread_count() -> int:
-    """Worker count, controlled by the CONVEXGEOM_THREADS variable."""
-    raw = os.environ.get("CONVEXGEOM_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"CONVEXGEOM_THREADS must be an integer >= 1, got {raw!r}")
-    return count
 
 
 def chunked(total: int, chunk: int = CHUNK):

@@ -1,5 +1,6 @@
 """Unit tests for convex bodies: gauges, supports, polars, volumes."""
 
+import itertools
 import math
 
 import numpy as np
@@ -129,13 +130,22 @@ class TestPolytopes:
         mc = volume(P, method="monte-carlo", budget=200_000, seed=11)
         assert abs(mc.value - tri) <= 3 * mc.stderr
 
+    @pytest.mark.parametrize(
+        "P, exact",
+        [(standard_simplex(3, centered=True), 1 / 6), (Cube(1.0, 3).polar(), 4 / 3)],
+        ids=repr,
+    )
+    def test_triangulation_is_exact(self, P, exact):
+        assert volume(P, method="triangulation").value == pytest.approx(exact, rel=1e-14)
+        assert P.volume_exact() == pytest.approx(exact, rel=1e-14)
+
     def test_simplex_contains_centroid(self):
         S = standard_simplex(3, centered=True)
         assert S.gauge(np.zeros((1, 3)))[0] < 1.0
 
 
-def _polytopes_built_by_verify(monkeypatch) -> list[np.ndarray]:
-    """The point clouds whose hull ``verify --n 2 --seed 7`` takes: every
+def _polytopes_built_by_verify(monkeypatch, n: int = 2) -> list[np.ndarray]:
+    """The point clouds whose hull ``verify --n <n> --seed 7`` takes: every
     ``Polytope`` and every zonotope pruning step of ``projection_body``.
     Which polytopes are built does not depend on the sample budget."""
     from convexgeom import functionals, harness
@@ -154,7 +164,7 @@ def _polytopes_built_by_verify(monkeypatch) -> list[np.ndarray]:
     with monkeypatch.context() as m:
         m.setattr(Polytope, "__init__", spy_init)
         m.setattr(functionals, "hull_vertices", spy_prune)
-        harness.run(harness.RunConfig(n=2, seed=7, samples=256, max_doublings=0))
+        harness.run(harness.RunConfig(n=n, seed=7, samples=256, max_doublings=0))
     return clouds
 
 
@@ -217,6 +227,92 @@ class TestHull2D:
 
     def test_every_polygon_that_verify_builds(self, monkeypatch):
         clouds = _polytopes_built_by_verify(monkeypatch)
+        assert len(clouds) >= 70
+        for points in clouds:
+            self._check(points)
+
+
+class TestHull3D:
+    """The beneath-beyond hull against qhull (scipy, in tests only)."""
+
+    @staticmethod
+    def _area_by_normal(normals, areas):
+        """Facet area summed over the facets that share a unit normal."""
+        groups: list[list] = []
+        for u, a in zip(normals, areas):
+            for g in groups:
+                if np.abs(g[0] - u).max() < 1e-9:
+                    g[1] += a
+                    break
+            else:
+                groups.append([u, a])
+        return groups
+
+    @classmethod
+    def _check(cls, points):
+        from scipy.spatial import ConvexHull
+
+        points = np.asarray(points, dtype=float)
+        n = points.shape[1]
+        ref = ConvexHull(points)
+        idx = hull_vertices(points)
+        assert np.all(np.diff(idx) > 0)  # input order, like qhull's
+        assert {tuple(v) for v in points[idx]} == {tuple(v) for v in points[ref.vertices]}
+        P = Polytope(points)
+        assert {tuple(v) for v in P.vertices} == {tuple(v) for v in points[ref.vertices]}
+        assert P.volume_exact() == pytest.approx(ref.volume, rel=1e-12)
+        assert volume(P, method="triangulation").value == pytest.approx(ref.volume, rel=1e-12)
+        E = points[ref.simplices[:, 1:]] - points[ref.simplices[:, :1]]
+        ref_areas = np.sqrt(np.linalg.det(E @ E.transpose(0, 2, 1))) / math.factorial(n - 1)
+        got = cls._area_by_normal(*P.facets())
+        want = cls._area_by_normal(ref.equations[:, :-1], ref_areas)
+        assert len(got) == len(want)
+        for u, area in got:
+            match = [a for v, a in want if np.abs(v - u).max() < 1e-9]
+            assert match == [pytest.approx(area, rel=1e-12)]
+        # every input point satisfies every facet inequality
+        assert np.all(points @ P._normals.T <= P._offsets + 1e-12 * np.abs(points).max())
+        return P
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_random_clouds(self, n):
+        gen = rngmod.substream(14, "hull", n)
+        for size in (4, 5, 7, 20, 200):
+            if size <= n:
+                continue
+            for scale in (1e-3, 1.0, 1e3):
+                self._check(gen.normal(size=(size, n)) * scale)
+
+    def test_cube_corners_with_face_centres_edge_midpoints_and_duplicates(self):
+        corners = np.array([c for c in itertools.product([-1.0, 1.0], repeat=3)])
+        centres = np.vstack([np.eye(3), -np.eye(3)])
+        midpoints = np.array(
+            [c for c in itertools.product([-1.0, 0.0, 1.0], repeat=3) if np.count_nonzero(c) == 2])
+        for pts in (
+            np.vstack([centres, midpoints, corners, corners[:3], centres[:2], np.zeros((1, 3))]),
+            np.vstack([corners, midpoints, centres, corners[::-1]]),
+        ):
+            P = self._check(pts)
+            assert len(P.vertices) == 8
+            assert P.volume_exact() == pytest.approx(8.0, rel=1e-14)
+
+    def test_point_just_beyond_a_face_is_a_vertex(self):
+        corners = np.array([c for c in itertools.product([-1.0, 1.0], repeat=3)])
+        P = self._check(np.vstack([corners, [[0.2, 0.1, 1.0 + 1e-9]]]))
+        assert len(P.vertices) == 9
+
+    def test_lattice_and_rotated_lattice(self):
+        grid = np.array(list(itertools.product([-1.0, 0.0, 1.0], repeat=3)))
+        self._check(grid)
+        self._check(grid @ _rotation(3).T * 1.7 + 0.3)
+
+    def test_flat_cloud_is_rejected(self):
+        pts = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="full-dimensional"):
+            Polytope(pts)
+
+    def test_every_polytope_that_verify_builds(self, monkeypatch):
+        clouds = _polytopes_built_by_verify(monkeypatch, n=3)
         assert len(clouds) >= 70
         for points in clouds:
             self._check(points)

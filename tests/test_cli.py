@@ -15,6 +15,13 @@ class TestBodyVolume:
         assert rc == 0
         assert out["volume"] == pytest.approx(8.0)
 
+    @pytest.mark.parametrize("method", ["auto", "triangulation"])
+    def test_simplex_n4(self, capsys, method):
+        rc = main(["body", "volume", "--kind", "simplex", "--n", "4", "--method", method])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["volume"] == pytest.approx(1 / 24, rel=1e-14)
+
     def test_ellipsoid_diag(self, capsys):
         rc = main(["body", "volume", "--kind", "ellipsoid", "--n", "2",
                    "--diag", "2,0.5"])

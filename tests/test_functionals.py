@@ -31,7 +31,7 @@ from convexgeom.functionals import (
     surface_measure,
 )
 from convexgeom.funcspace import normalized_sobolev_extremal, polar_projection_norm
-from convexgeom.harness import RunConfig, corpus, run
+from convexgeom.harness import corpus
 from convexgeom.sphere import sample_sphere, sphere_rule
 
 
@@ -203,12 +203,6 @@ class TestDirectionKernelMemory:
         N = NumericSupport(rule, E.support(rule.nodes))
         peak = _traced_peak_mib(N.body_volume)
         assert peak < 32
-
-    def test_threads_hold_one_bound_each(self, monkeypatch):
-        monkeypatch.setenv("CONVEXGEOM_THREADS", "2")
-        cfg = RunConfig(n=2, cases=["iso_s", "bp_centroid"], samples=1 << 16, max_doublings=0)
-        peak = _traced_peak_mib(lambda: run(cfg))
-        assert peak < 2 * self.LIMIT_MIB
 
 
 class TestProjectionBody:

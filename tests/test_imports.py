@@ -1,4 +1,4 @@
-"""scipy stays off the n=2 path: a default-dimension ``verify`` runs on
+"""scipy stays off the verify path: a ``verify`` at n=2 or n=3 runs on
 numpy and the standard library alone, and importing the command line
 loads no scipy integration or optimisation code.
 
@@ -37,6 +37,17 @@ def test_n2_verify_loads_no_scipy(tmp_path):
     )
     assert _scipy_modules_after(code, tmp_path) == []
     assert (tmp_path / "r.csv").read_text().count("\n") == 48
+
+
+def test_n3_verify_loads_no_scipy(tmp_path):
+    code = (
+        "from convexgeom.cli import main\n"
+        "rc = main(['verify', '--n', '3', '--samples', '64', '--max-doublings', '0',"
+        " '--csv', 'r.csv', '--out', 'r.json'])\n"
+        "assert rc == 0, rc\n"
+    )
+    assert _scipy_modules_after(code, tmp_path) == []
+    assert (tmp_path / "r.csv").read_text().count("\n") == 62
 
 
 def test_cli_import_loads_no_scipy_integrate_or_optimize(tmp_path):

@@ -1,7 +1,6 @@
 """Unit tests for deterministic stream splitting and chunking."""
 
 import numpy as np
-import pytest
 
 from convexgeom import rng as rngmod
 
@@ -54,19 +53,3 @@ class TestChunked:
         gen2 = rngmod.substream(7, "t")
         first = gen2.uniform(size=rngmod.CHUNK)
         assert np.array_equal(big[: rngmod.CHUNK], first)
-
-
-class TestThreads:
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setenv("CONVEXGEOM_THREADS", "3")
-        assert rngmod.thread_count() == 3
-
-    def test_thread_count_default(self, monkeypatch):
-        monkeypatch.delenv("CONVEXGEOM_THREADS", raising=False)
-        assert rngmod.thread_count() >= 1
-
-    @pytest.mark.parametrize("raw", ["abc", "0"])
-    def test_thread_count_rejects_bad_value(self, monkeypatch, raw):
-        monkeypatch.setenv("CONVEXGEOM_THREADS", raw)
-        with pytest.raises(ValueError, match="CONVEXGEOM_THREADS"):
-            rngmod.thread_count()
