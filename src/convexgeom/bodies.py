@@ -34,8 +34,6 @@ __all__ = [
     "hull_vertices",
     "polar",
     "linear_image",
-    "support",
-    "gauge",
     "volume",
     "sample_uniform",
 ]
@@ -86,9 +84,6 @@ class ConvexBody:
 
     def polar(self) -> "ConvexBody":
         return Polar(self)
-
-    def linear_image(self, A) -> "ConvexBody":
-        return linear_image(self, A)
 
 
 class Ball(ConvexBody):
@@ -600,20 +595,6 @@ class NumericSupport(ConvexBody):
 
 # ---------------------------------------------------------------------------
 # free-function operations
-
-
-def support(body: ConvexBody, xi) -> float | np.ndarray:
-    xi_arr = np.asarray(xi, dtype=float)
-    if np.all(np.linalg.norm(_rows(xi_arr), axis=1) == 0):
-        raise ValueError("support direction must be nonzero")
-    out = body.support(xi_arr)
-    return float(out[0]) if xi_arr.ndim == 1 else out
-
-
-def gauge(body: ConvexBody, x) -> float | np.ndarray:
-    x_arr = np.asarray(x, dtype=float)
-    out = body.gauge(x_arr)
-    return float(out[0]) if x_arr.ndim == 1 else out
 
 
 def polar(body: ConvexBody) -> ConvexBody:

@@ -16,9 +16,9 @@ import numpy as np
 from . import rng as rngmod
 from .bodies import ConvexBody
 from .constants import omega_n
-from .estimate import Estimate, from_samples, mc_draws, product, quad_estimate
+from .estimate import Estimate, product, quad_estimate
 from .funcspace import CompactFunction, Profile, surface_measure_f
-from .functionals import det_volume_many, surface_measure
+from .functionals import _points, _simplex_moment, _weighted, surface_measure
 from .sphere import sphere_rule
 
 __all__ = [
@@ -159,13 +159,7 @@ def I_tilde_p(
         raise ValueError("need exactly n bodies")
     measures = [surface_measure(L, p) for L in bodies]
     gen = rngmod.substream(seed, "Itilde", p, *bodies)
-
-    def draw(gen, size):
-        dirs, weights = zip(*[m.sample(gen, size) for m in measures])
-        w = np.prod(weights, axis=0)
-        return w * det_volume_many(list(dirs)) ** p
-
-    return from_samples(mc_draws(gen, budget, draw))
+    return _simplex_moment(gen, budget, p, _weighted([m.sample for m in measures]))
 
 
 def I_tilde_p_star(
@@ -179,11 +173,7 @@ def I_tilde_p_star(
     n = bodies[0].dim
     stars = [star_body(L, p) for L in bodies]
     gen = rngmod.substream(seed, "Itilde-star", p, *bodies)
-
-    def draw(gen, size):
-        return det_volume_many([s.sample(gen, size) for s in stars]) ** p
-
-    mean = from_samples(mc_draws(gen, budget, draw))
+    mean = _simplex_moment(gen, budget, p, _points([s.sample for s in stars]))
     return mean * product(s.volume() for s in stars) * (n + p) ** n
 
 
@@ -207,12 +197,7 @@ def I_tilde_p_functions(
 
     measures = [surface_measure_f(l, p) for l in ls]
     gen = rngmod.substream(seed, "Itilde-f", p, *ls)
-
-    def draw(gen, size):
-        dirs, weights = zip(*[m.sample(gen, size) for m in measures])
-        return np.prod(weights, axis=0) * det_volume_many(list(dirs)) ** p
-
-    return from_samples(mc_draws(gen, budget, draw))
+    return _simplex_moment(gen, budget, p, _weighted([m.sample for m in measures]))
 
 
 # ---------------------------------------------------------------------------

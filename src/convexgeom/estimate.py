@@ -8,10 +8,10 @@ gates (3-sigma bands) are computed.
 
 Every Monte-Carlo integral in the package draws its samples through
 :func:`mc_draws` (scalar integrands) or :func:`mc_direction_moments`
-(one integrand per sphere-rule node), so the chunking and reduction
-policy lives here.  A draw holds one chunk of ``rng.CHUNK`` samples;
-a direction-resolved integrand is evaluated on one block of
-``rng.NODE_BLOCK`` nodes at a time, so each of its temporaries is one
+(the p-th moment of |<z, u>| at every sphere-rule node u), so the
+chunking and reduction policy lives here.  A draw holds one chunk of
+``rng.CHUNK`` samples; the direction moments are formed on one block of
+``rng.NODE_BLOCK`` nodes at a time, so each of their temporaries is one
 chunk times one node block (8 MiB of floats), whatever the budget or
 the node count.
 """
@@ -122,9 +122,6 @@ class Estimate:
             v, err, self.samples + o.samples, _combine_method(self.method, o.method)
         )
 
-    def __rtruediv__(self, other) -> "Estimate":
-        return self._coerce(other) / self
-
     def __pow__(self, k: float) -> "Estimate":
         v = self.value**k
         if self.value != 0:
@@ -134,9 +131,6 @@ class Estimate:
             # stderr of 0 is within stderr^k (exact for k = 1)
             err = self.stderr**k if k > 0 else 0.0
         return Estimate(v, err, self.samples, self.method)
-
-    def __neg__(self) -> "Estimate":
-        return Estimate(-self.value, self.stderr, self.samples, self.method)
 
     def within(self, target: float, nsigma: float = 3.0, atol: float = 0.0) -> bool:
         """True if ``target`` lies inside the ``nsigma`` band around the value."""
@@ -183,16 +177,16 @@ def mc_draws(gen: np.random.Generator, budget: int, draw) -> np.ndarray:
     return np.concatenate([draw(gen, size) for size in rngmod.chunked(budget)])
 
 
-def mc_direction_moments(gen: np.random.Generator, budget: int, nodes, draw):
-    """Per-node sample mean, its standard error and the sample count.
+def mc_direction_moments(gen: np.random.Generator, budget: int, nodes, p: float, draw):
+    """Per-node mean of w |<z, u>|^p, its standard error and the sample count.
 
-    ``draw(gen, size)`` samples one chunk and returns ``values``, where
-    ``values(block)`` is the (size, len(block)) array of integrand values
-    of that chunk at a block of rows of ``nodes``.  The nodes are visited
-    in blocks of ``rng.NODE_BLOCK`` and only per-node running sums of the
-    values and of their squares are kept, so memory stays at one chunk
-    times one node block.  Each column is reduced row by row in chunk
-    order, so the result does not depend on the block width.
+    ``draw(gen, size)`` samples one chunk and returns ``(z, w)``: a
+    (size, n) array of vectors and their weights, or ``None`` for unit
+    weights.  The moments are formed on blocks of ``rng.NODE_BLOCK`` rows
+    u of ``nodes`` and only per-node running sums of the values and of
+    their squares are kept, so memory stays at one chunk times one node
+    block.  Each column is reduced row by row in chunk order, so the
+    result does not depend on the block width.
     """
     count = len(nodes)
     edges = list(range(0, count, rngmod.NODE_BLOCK)) + [count]
@@ -203,9 +197,11 @@ def mc_direction_moments(gen: np.random.Generator, budget: int, nodes, draw):
     acc2 = np.zeros(count)
     total = 0
     for size in rngmod.chunked(budget):
-        values = draw(gen, size)
+        z, w = draw(gen, size)
         for lo, hi in zip(edges, edges[1:]):
-            vals = values(nodes[lo:hi])
+            vals = np.abs(z @ nodes[lo:hi].T) ** p
+            if w is not None:
+                vals *= w[:, None]
             acc[lo:hi] += vals.sum(axis=0)
             np.square(vals, out=vals)
             acc2[lo:hi] += vals.sum(axis=0)

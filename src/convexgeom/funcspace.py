@@ -28,7 +28,14 @@ from .constants import (
     sobolev_profile_deriv,
 )
 from .estimate import Estimate, from_samples, mc_direction_moments, mc_draws
-from .functionals import SurfaceMeasure, det_volume_many
+from .functionals import (
+    SurfaceMeasure,
+    _moment_body,
+    _normals,
+    _simplex_moment,
+    _weighted,
+    moment_rule,
+)
 from .sphere import sample_sphere, sphere_rule
 
 __all__ = [
@@ -593,15 +600,10 @@ def polar_projection_norm(f: CompactFunction, p: float, budget: int, seed: int) 
     """(integral over the sphere of m(xi)^{-n/p})^{-1/n} where
     m(xi) = integral of |<grad f, xi>|^p."""
     n = f.dim
-    rule = sphere_rule(n, 256 if n == 2 else 48)
+    rule = moment_rule(n)
     sm = surface_measure_f(f, p)
     gen = rngmod.substream(seed, "polar-proj", p, f)
-
-    def draw(gen, size):
-        dirs, w = sm.sample(gen, size)
-        return lambda block: np.abs(dirs @ block.T) ** p * w[:, None]
-
-    m, sem, total = mc_direction_moments(gen, budget, rule.nodes, draw)
+    m, sem, total = mc_direction_moments(gen, budget, rule.nodes, p, sm.sample)
     integral = rule.integrate(m ** (-n / p))
     val = integral ** (-1.0 / n)
     # d val / d m_j = val / n * (n/p) * w_j m_j^{-n/p-1} / integral
@@ -614,19 +616,13 @@ def polar_projection_norm(f: CompactFunction, p: float, budget: int, seed: int) 
 # functional random-simplex operations
 
 
-def _weighted_points(ls: list[CompactFunction]):
-    """``draw(gen, size) -> (points, weights)`` with the functions as
-    densities, and the scale of the weighted mean.  Radial compositions
-    are importance-sampled (scale 1); otherwise points are uniform on the
+def _density_draw(ls: list[CompactFunction]):
+    """Draw of weighted points with the functions as densities, and the
+    scale of the weighted mean.  Radial compositions are
+    importance-sampled (scale 1); otherwise points are uniform on the
     boxes and weighted by the function values."""
     if all(l.is_radial for l in ls):
-        samplers = [_RadialSampler(l) for l in ls]
-
-        def draw(gen, size):
-            pts, ws = zip(*[s.sample(gen, size) for s in samplers])
-            return list(pts), np.prod(ws, axis=0)
-
-        return draw, 1.0
+        return _weighted([_RadialSampler(l).sample for l in ls]), 1.0
 
     def draw(gen, size):
         pts = [l.sample_box(gen, size) for l in ls]
@@ -647,13 +643,8 @@ def I_p_functions(
     if len(ls) != n:
         raise ValueError("need n functions of n variables")
     gen = rngmod.substream(seed, "I_p_f", p, *ls)
-    points, scale = _weighted_points(ls)
-
-    def draw(gen, size):
-        pts, w = points(gen, size)
-        return w * det_volume_many(pts) ** p
-
-    return from_samples(mc_draws(gen, budget, draw), scale=scale)
+    draw, scale = _density_draw(ls)
+    return _simplex_moment(gen, budget, p, draw, scale)
 
 
 def N_p_function_body(
@@ -664,25 +655,15 @@ def N_p_function_body(
 ):
     """Moment body of n-1 weight functions: support^p is the weighted
     partial random-simplex integral with one free direction."""
-    from .bodies import NumericSupport
-    from .functionals import _det_with_direction
-
     n = ls[0].dim
     if len(ls) != n - 1:
         raise ValueError("need n - 1 functions")
-    rule = sphere_rule(n, 256 if n == 2 else 48)
+    rule = moment_rule(n)
     gen = rngmod.substream(seed, "N_p_f", p, *ls)
-    points, scale = _weighted_points(ls)
-
-    def draw(gen, size):
-        pts, w = points(gen, size)
-        return lambda block: w[:, None] * _det_with_direction(pts, block) ** p
-
-    mean, sem, total = mc_direction_moments(gen, budget, rule.nodes, draw)
+    draw, scale = _density_draw(ls)
+    mean, sem, total = mc_direction_moments(gen, budget, rule.nodes, p, _normals(draw))
     mean, sem = mean * scale, sem * scale
-    h = mean ** (1.0 / p)
-    h_err = np.where(mean > 0, h / p * sem / np.maximum(mean, 1e-300), 0.0)
-    return NumericSupport(rule, h, node_stderr=h_err, samples=total)
+    return _moment_body(rule, p, mean, sem, mean, total)
 
 
 # ---------------------------------------------------------------------------

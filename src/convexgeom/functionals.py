@@ -5,9 +5,18 @@ random points, one from each of n convex bodies.  Freezing one
 direction turns the same integral into the support function of a
 convex body; its polar links the moment back to the dual mixed
 volume, and that identity is exposed as a consistency check.
+
+Every such moment goes through one of two kernels: ``_simplex_moment``
+for E[w D_n^p] and :func:`convexgeom.estimate.mc_direction_moments` for
+E[w |<z, u>|^p] at sphere-rule nodes u, where z is a point, a surface
+normal or the generalized cross product of n - 1 points.  A draw maps
+(gen, size) to (points, weights or None): one chunk from each factor, in
+order from the one generator, and the product of their weights.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +45,7 @@ from .sphere import SphereRule, sphere_rule
 
 __all__ = [
     "det_volume_many",
+    "cross_product",
     "I_p",
     "N_p_body",
     "centroid_body",
@@ -63,6 +73,73 @@ def det_volume_many(point_sets: list[np.ndarray]) -> np.ndarray:
     return np.sqrt(np.clip(np.linalg.det(G), 0.0, None))
 
 
+def cross_product(point_sets: list[np.ndarray]) -> np.ndarray:
+    """Generalized cross product of n - 1 arrays of shape (m, n): the m
+    vectors z with <z, xi> = det(x_1, ..., x_{n-1}, xi) for every xi."""
+    n = point_sets[0].shape[1]
+    if n == 2:
+        x = point_sets[0]
+        return np.stack([-x[:, 1], x[:, 0]], axis=1)
+    if n == 3:
+        return np.cross(point_sets[0], point_sets[1])
+    raise ValueError("direction-resolved determinant implemented for n in {2, 3}")
+
+
+# ---------------------------------------------------------------------------
+# the random-simplex kernels
+
+
+def _points(samplers):
+    """Draw of unweighted points, one ``sampler(gen, size)`` per factor."""
+    return lambda gen, size: ([s(gen, size) for s in samplers], None)
+
+
+def _weighted(samplers):
+    """Draw from samplers that return (points, weights); the weights of
+    the factors multiply."""
+
+    def draw(gen, size):
+        pts, ws = zip(*[s(gen, size) for s in samplers])
+        return list(pts), np.prod(ws, axis=0)
+
+    return draw
+
+
+def _normals(draw):
+    """The draw with its n - 1 points replaced by their cross product, so
+    that |<z, u>| is the determinant with the free direction u."""
+
+    def normals(gen, size):
+        pts, w = draw(gen, size)
+        return cross_product(pts), w
+
+    return normals
+
+
+def _simplex_moment(gen, budget: int, p: float, draw, scale: float = 1.0) -> Estimate:
+    """Monte-Carlo estimate of ``scale`` times E[w D_n(x_1..x_n)^p]."""
+
+    def values(gen, size):
+        pts, w = draw(gen, size)
+        d = det_volume_many(pts) ** p
+        return d if w is None else w * d
+
+    return from_samples(mc_draws(gen, budget, values), scale=scale)
+
+
+def moment_rule(n: int) -> SphereRule:
+    """Sphere rule on which the moment bodies take their support values."""
+    return sphere_rule(n, 256 if n == 2 else 48)
+
+
+def _moment_body(rule: SphereRule, p: float, hp, err, ref, samples: int) -> NumericSupport:
+    """Body with support h = hp^(1/p) at the rule nodes.  ``err / ref`` is
+    the relative error of hp, so h carries h/p times it."""
+    h = hp ** (1.0 / p)
+    h_err = np.where(ref > 0, h / p * err / np.maximum(ref, 1e-300), 0.0)
+    return NumericSupport(rule, h, node_stderr=h_err, samples=samples)
+
+
 def I_p(
     bodies: list[ConvexBody],
     p: float,
@@ -81,11 +158,7 @@ def I_p(
     if p < 1:
         raise ValueError("p must be at least 1")
     gen = rngmod.substream(seed, "I_p", p, *bodies)
-
-    def draw(gen, size):
-        return det_volume_many([sample_uniform(L, gen, size) for L in bodies]) ** p
-
-    mean = from_samples(mc_draws(gen, budget, draw))
+    mean = _simplex_moment(gen, budget, p, _points([partial(sample_uniform, L) for L in bodies]))
     return mean * product(volume(L, budget=budget, seed=seed + i) for i, L in enumerate(bodies))
 
 
@@ -100,40 +173,20 @@ def N_p_body(
     random-simplex integral with one free direction.
 
     Support is evaluated at the rule nodes (one shared Monte-Carlo
-    sample batch for all nodes) and interpolated elsewhere; worst-node
-    standard error is stored on the body.
+    sample batch for all nodes) and interpolated elsewhere; the standard
+    error of each node value is stored on the body.
     """
     n = bodies[0].dim
     if len(bodies) != n - 1:
         raise ValueError("need n - 1 bodies")
-    rule = rule or sphere_rule(n, 256 if n == 2 else 48)
+    rule = rule or moment_rule(n)
     gen = rngmod.substream(seed, "N_p", p, *bodies)
-
-    def draw(gen, size):
-        pts = [sample_uniform(L, gen, size) for L in bodies]
-        return lambda block: _det_with_direction(pts, block) ** p
-
-    mean, sem, total = mc_direction_moments(gen, budget, rule.nodes, draw)
+    draw = _normals(_points([partial(sample_uniform, L) for L in bodies]))
+    mean, sem, total = mc_direction_moments(gen, budget, rule.nodes, p, draw)
     volp = product(volume(L, budget=budget, seed=seed + i) for i, L in enumerate(bodies))
     hp = mean * volp.value
     hp_err = np.sqrt((volp.value * sem) ** 2 + (mean * volp.stderr) ** 2)
-    h = hp ** (1.0 / p)
-    h_err = np.where(hp > 0, h / p * hp_err / np.maximum(hp, 1e-300), 0.0)
-    return NumericSupport(rule, h, node_stderr=h_err, samples=total)
-
-
-def _det_with_direction(point_sets, directions) -> np.ndarray:
-    """|det(x_1, ..., x_{n-1}, xi)| for a batch of point tuples against a
-    grid of directions; shape (samples, directions)."""
-    n = point_sets[0].shape[1]
-    if n == 2:
-        x = point_sets[0]
-        # det(x, xi) = x0 xi1 - x1 xi0
-        return np.abs(np.outer(x[:, 0], directions[:, 1]) - np.outer(x[:, 1], directions[:, 0]))
-    if n == 3:
-        c = np.cross(point_sets[0], point_sets[1])  # (m, 3)
-        return np.abs(c @ directions.T)
-    raise ValueError("direction-resolved determinant implemented for n in {2, 3}")
+    return _moment_body(rule, p, hp, hp_err, hp, total)
 
 
 def centroid_body(
@@ -146,19 +199,11 @@ def centroid_body(
     """p-th centroid body: support^p proportional to the p-th absolute
     moment of the linear functional over the body, normalized so the
     ball maps to itself."""
-    n = L.dim
-    rule = rule or sphere_rule(n, 256 if n == 2 else 48)
+    rule = rule or moment_rule(L.dim)
     gen = rngmod.substream(seed, "centroid", p, L)
-
-    def draw(gen, size):
-        x = sample_uniform(L, gen, size)
-        return lambda block: np.abs(x @ block.T) ** p
-
-    mean, sem, total = mc_direction_moments(gen, budget, rule.nodes, draw)
-    c = c_np(n, p).value
-    h = (mean / c) ** (1.0 / p)
-    h_err = np.where(mean > 0, h / p * sem / np.maximum(mean, 1e-300), 0.0)
-    return NumericSupport(rule, h, node_stderr=h_err, samples=total)
+    draw = lambda gen, size: (sample_uniform(L, gen, size), None)
+    mean, sem, total = mc_direction_moments(gen, budget, rule.nodes, p, draw)
+    return _moment_body(rule, p, mean / c_np(L.dim, p).value, sem, mean, total)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ asserted.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -229,7 +230,12 @@ class InequalityCase:
 
 
 def corpus(name: str, n: int, seed: int = rngmod.DEFAULT_SEED) -> list[ConvexBody]:
-    """Named body corpus at dimension n."""
+    """Named body corpus at dimension n, built once per process and key."""
+    return list(_corpus(name, n, seed))
+
+
+@functools.cache
+def _corpus(name: str, n: int, seed: int) -> tuple[ConvexBody, ...]:
     if name == "standard":
         bodies: list[ConvexBody] = [
             Ball(1.0, n),
@@ -242,12 +248,12 @@ def corpus(name: str, n: int, seed: int = rngmod.DEFAULT_SEED) -> list[ConvexBod
         gen = rngmod.substream(seed, "corpus", "polytopes", n)
         for i in range(3):
             bodies.append(_random_polytope(gen, n, i))
-        return bodies
+        return tuple(bodies)
     if name == "smooth":
         bodies = [Ball(1.0, n), _normalized_ellipsoid(n)]
         if n == 2:
             bodies += [LqBall(1.5, 2), LqBall(4.0, 2)]
-        return bodies
+        return tuple(bodies)
     raise ValueError(f"unknown corpus {name!r}")
 
 
@@ -271,15 +277,22 @@ def function_corpus(
     config: RunConfig, smooth_only: bool = False, check_gradients: bool = True
 ) -> list[CompactFunction]:
     """Function corpus: extremal families, random bumps and mollified
-    indicators; gradient oracles are spot-checked on load."""
-    n, p, lam = config.n, config.p, config.lam
+    indicators; gradient oracles are spot-checked on load.  Built once
+    per process and key."""
+    return list(_function_corpus(config.n, config.p, config.lam, config.seed,
+                                 smooth_only, check_gradients))
+
+
+@functools.cache
+def _function_corpus(n: int, p: float, lam: float, seed: int, smooth_only: bool,
+                     check_gradients: bool) -> tuple[CompactFunction, ...]:
     out: list[CompactFunction] = []
     out.append(normalized_moment_extremal(Ball(1.0, n), p, lam))
     if not smooth_only or lam > 2:
         out.append(normalized_moment_extremal(_normalized_ellipsoid(n), p, lam))
     if 1 <= p < n:
         out.append(normalized_sobolev_extremal(Ball(1.0, n), p))
-    gen = rngmod.substream(config.seed, "corpus", "bumps", n)
+    gen = rngmod.substream(seed, "corpus", "bumps", n)
     for i in range(3):
         q = np.exp(gen.uniform(-0.4, 0.4, size=n))
         A = np.diag(q / np.prod(q) ** (1 / n))
@@ -290,14 +303,14 @@ def function_corpus(
     if smooth_only:
         out = [l for l in out if l.smoothness == "C2" and l.hess is not None]
     if check_gradients:
-        gcheck = rngmod.substream(config.seed, "corpus", "gradcheck")
+        gcheck = rngmod.substream(seed, "corpus", "gradcheck")
         for l in out:
             if l.grad is None:
                 continue
             err = l.gradient_check(gcheck, probes=20)
             if err > 1e-4:
                 raise RuntimeError(f"gradient oracle of {l.label} off by {err:g}")
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -419,11 +432,7 @@ def _blaschke_instances(config: RunConfig):
 
 
 def _is_symmetric(L: ConvexBody) -> bool:
-    if isinstance(L, (Ball, Cube, LqBall)):
-        return True
-    if isinstance(L, Ellipsoid):
-        return True
-    return False
+    return isinstance(L, (Ball, Cube, Ellipsoid, LqBall))
 
 
 def _petty_instances(config: RunConfig):

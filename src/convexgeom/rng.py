@@ -8,10 +8,11 @@ stream on its function name, its parameters and its bodies, functions
 or measures, all named by the one rule of :func:`substream`, and draws
 ``chunked`` fixed-size chunks in order from that one generator through
 :func:`convexgeom.estimate.mc_draws` or
-:func:`convexgeom.estimate.mc_direction_moments`; the latter evaluates
-each chunk on ``NODE_BLOCK`` sphere-rule nodes at a time, so a draw holds
-at most one chunk times one node block: ``CHUNK * NODE_BLOCK`` floats,
-8 MiB, per temporary.  Results are therefore bit-reproducible for a
+:func:`convexgeom.estimate.mc_direction_moments`.  A draw of the latter
+returns one chunk of vectors z and weights, and the moments |<z, u>|^p
+are formed on ``NODE_BLOCK`` sphere-rule nodes u at a time, so each
+temporary holds at most one chunk times one node block:
+``CHUNK * NODE_BLOCK`` floats, 8 MiB.  Results are therefore bit-reproducible for a
 given seed and budget, whatever the order in which cases run.
 """
 

@@ -117,10 +117,15 @@ class TestWithin:
 
 
 class TestDirectionMoments:
+    P = 1.5
+
     @staticmethod
-    def _draw(gen, size):
-        x = gen.standard_normal((size, 3))
-        return lambda block: np.abs(x @ block.T) ** 1.5
+    def _draw(weighted):
+        def draw(gen, size):
+            z = gen.standard_normal((size, 3))
+            return z, (gen.uniform(0.5, 2.0, size) if weighted else None)
+
+        return draw
 
     @pytest.mark.parametrize("count", [100, rngmod.NODE_BLOCK + 1])
     def test_blocked_sums_equal_one_array_reference(self, count):
@@ -129,17 +134,22 @@ class TestDirectionMoments:
         nodes = np.random.default_rng(3).standard_normal((count, 3))
         nodes /= np.linalg.norm(nodes, axis=1, keepdims=True)
         budget = rngmod.CHUNK + 1000
-        mean, sem, total = mc_direction_moments(
-            rngmod.substream(5, "blocks"), budget, nodes, self._draw
-        )
-        gen = rngmod.substream(5, "blocks")
-        acc = acc2 = 0.0
-        for size in rngmod.chunked(budget):
-            vals = self._draw(gen, size)(nodes)
-            acc = acc + vals.sum(axis=0)
-            acc2 = acc2 + (vals**2).sum(axis=0)
-        ref_mean = acc / budget
-        ref_sem = np.sqrt(np.clip(acc2 / budget - ref_mean**2, 0.0, None) / budget)
-        assert total == budget
-        assert (mean == ref_mean).all()
-        assert (sem == ref_sem).all()
+        for weighted in (False, True):
+            draw = self._draw(weighted)
+            mean, sem, total = mc_direction_moments(
+                rngmod.substream(5, "blocks"), budget, nodes, self.P, draw
+            )
+            gen = rngmod.substream(5, "blocks")
+            acc = acc2 = 0.0
+            for size in rngmod.chunked(budget):
+                z, w = draw(gen, size)
+                vals = np.abs(z @ nodes.T) ** self.P
+                if weighted:
+                    vals = vals * w[:, None]
+                acc = acc + vals.sum(axis=0)
+                acc2 = acc2 + (vals**2).sum(axis=0)
+            ref_mean = acc / budget
+            ref_sem = np.sqrt(np.clip(acc2 / budget - ref_mean**2, 0.0, None) / budget)
+            assert total == budget
+            assert (mean == ref_mean).all(), weighted
+            assert (sem == ref_sem).all(), weighted

@@ -24,6 +24,7 @@ from convexgeom.functionals import (
     N_p_body,
     SurfaceMeasure,
     centroid_body,
+    cross_product,
     dual_mixed_volume,
     equivalence_check,
     mixed_volume,
@@ -151,6 +152,21 @@ class TestCentroidBody:
         G = centroid_body(E, 2.0, budget=1 << 17, seed=14)
         h = E.support(G.rule.nodes)
         assert np.allclose(G.values / h, 1.0, atol=0.02)
+
+
+class TestCrossProduct:
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_pairing_is_the_determinant_with_the_direction(self, n):
+        gen = np.random.default_rng(n)
+        pts = [gen.standard_normal((200, n)) for _ in range(n - 1)]
+        xi = gen.standard_normal((200, n))
+        got = np.sum(cross_product(pts) * xi, axis=1)
+        expect = np.linalg.det(np.stack(pts + [xi], axis=1))
+        assert np.allclose(got, expect, rtol=1e-12, atol=0)
+
+    def test_other_dimensions_rejected(self):
+        with pytest.raises(ValueError, match="n in"):
+            cross_product([np.ones((1, 4))] * 3)
 
 
 def _traced_peak_mib(fn) -> float:

@@ -2,9 +2,10 @@
 
 Two things are pinned bit for bit against ``tests/golden.json``:
 
-* the CSV of ``run()`` at n=2 for (p=2, lam=2) and (p=1, lam=inf), all
-  cases, 4096 samples and no doublings, and the full-precision ratio and
-  standard error of every row (the CSV rounds them);
+* the CSV of ``run()`` at n=2 for (p=2, lam=2) and (p=1, lam=inf) and at
+  n=3 for (p=2, lam=2), all cases, 4096 samples and no doublings, and the
+  full-precision ratio and standard error of every row (the CSV rounds
+  them);
 * the exact ``value``, ``stderr`` and ``samples`` of one small-budget
   call to each Monte-Carlo path that ``verify`` does not reach, and the
   node values and node errors of two n=3 numeric-support bodies.
@@ -44,11 +45,15 @@ from convexgeom.sphere import sphere_rule
 FIXTURE = os.path.join(os.path.dirname(__file__), "golden.json")
 BUDGET = rngmod.CHUNK + 1000  # two chunks, the second one short
 SEED = 11
-RUNS = {"n2_p2_lam2": (2.0, 2.0), "n2_p1_laminf": (1.0, math.inf)}
+RUNS = {
+    "n2_p2_lam2": (2, 2.0, 2.0),
+    "n2_p1_laminf": (2, 1.0, math.inf),
+    "n3_p2_lam2": (3, 2.0, 2.0),
+}
 
 
-def _run(p: float, lam: float) -> dict:
-    rep = run(RunConfig(n=2, p=p, lam=lam, samples=4096, max_doublings=0))
+def _run(n: int, p: float, lam: float) -> dict:
+    rep = run(RunConfig(n=n, p=p, lam=lam, samples=4096, max_doublings=0))
     rows = [[r.id, r.instance, r.ratio, r.stderr, r.samples] for r in rep.results]
     return {"csv": rep.to_csv(), "rows": rows}
 
@@ -93,7 +98,7 @@ def _bodies() -> dict:
 
 def _snapshot() -> dict:
     return {
-        "runs": {name: _run(p, lam) for name, (p, lam) in RUNS.items()},
+        "runs": {name: _run(*args) for name, args in RUNS.items()},
         "estimates": {
             name: {"value": e.value, "stderr": e.stderr, "samples": e.samples}
             for name, e in _estimates().items()

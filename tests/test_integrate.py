@@ -55,6 +55,8 @@ def _requested_integrals(monkeypatch, n, p, lam) -> dict:
     monkeypatch.setattr(constants, "integrate_1d", spy)
     monkeypatch.setattr(funcspace, "integrate_1d", spy)
     monkeypatch.setattr(constants.cache(), "_store", {})
+    # the function corpus integrates its profile moments when it is built
+    harness._function_corpus.cache_clear()
     # the stronger_p_5_9 calibration integrates the same profile moments
     # as that case's own rows; a stand-in skips its 2^17-sample Monte Carlo
     monkeypatch.setattr(harness, "_STRONGER_P_CACHE", {(n, p): Estimate(1.0)})
