@@ -9,10 +9,9 @@ t recovers the total.
 """
 
 import numpy as np
-from scipy.integrate import quad
 
 from convexgeom.bodies import Ball, Ellipsoid
-from convexgeom.constants import omega_n
+from convexgeom.constants import integrate_1d, omega_n
 from convexgeom.dualtheory import (
     omega_p,
     omega_p_levelset_radial,
@@ -38,7 +37,8 @@ print("n vol(E*_p)  =", n * S.volume().value)
 # Level-set slices of a radial bump integrate back to the total.
 prof = bump_profile(3, 1.0)
 total = omega_p_radial(prof, n, p)
-sliced = quad(
-    lambda r: omega_p_levelset_radial(prof, n, p, r) * abs(prof.dF(r)), 0, 1
-)[0]
+slice_density = np.vectorize(
+    lambda r: omega_p_levelset_radial(prof, n, p, r) * abs(prof.dF(r))
+)
+sliced = integrate_1d(slice_density, 0, 1)
 print(f"Omega_p(l) = {total:.8f}   integral of slices = {sliced:.8f}")

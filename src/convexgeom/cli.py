@@ -165,6 +165,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             lam = "" if r.lam == "" else f" lam={r.lam:g}"
             print(f"{r.id:16s} {r.instance[:46]:48s} ratio={r.ratio:.4f} "
                   f"+-{r.stderr:.4f} {r.status}{lam}")
+        for sk in report.skipped:
+            print(f"{sk['id']:16s} {sk['instance'][:46]:48s} skipped: {sk['reason']}")
         print("summary:", report.summary())
         bad = report.failed
     for r in bad:

@@ -2,12 +2,13 @@
 
 Constants that the literature only gives by reference are never
 transcribed from outside sources: they are derived inside the package
-from their defining equality cases on balls, either in closed form
-(gamma functions from ``math``) or by 1-D radial quadrature, and carry
-their provenance in their records.  One-dimensional quadratures are the
-precision anchor.  Every one of them, here and in ``funcspace``, goes
-through :func:`integrate_1d`, the package's own vectorised, globally
-adaptive Gauss-Legendre rule, which targets a relative error of
+from their defining equality cases on balls, in closed form (gamma
+functions from ``math``), and carry their provenance in their records.
+The radial extremals of the functional bounds form one family,
+:class:`BetaFamily`, c (1 + sign t^s)^e, whose every moment is a beta
+function.  The 1-D integrals of other profiles and of the level-set
+checks go through :func:`integrate_1d`, the package's own vectorised,
+globally adaptive Gauss-Legendre rule, which targets a relative error of
 ``QUAD_TOL``.
 """
 
@@ -18,7 +19,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .estimate import CLOSED_FORM, QUADRATURE
+from .estimate import CLOSED_FORM
 
 QUAD_TOL = 1e-10  # relative to the integral of |f|
 
@@ -104,6 +105,110 @@ def _beta(x: float, y: float) -> float:
     return math.exp(math.lgamma(x) + math.lgamma(y) - math.lgamma(x + y))
 
 
+@dataclass(frozen=True)
+class BetaFamily:
+    """The profile F(t) = c t^a (1 + sign t^s)^e of the extremal families.
+
+    With sign -1 it lives on [0, 1] (the indicator of [0, 1] at a = e = 0),
+    with sign +1 on [0, inf).  Its moments are beta functions,
+
+        integral of t^k (1 - t^s)^m over [0, 1]   = B((k+1)/s, m+1) / s,
+        integral of t^k (1 + t^s)^m over [0, inf) = B((k+1)/s, -m-(k+1)/s) / s,
+
+    and ``inf`` where the integral diverges.  ``value`` and ``derivative``
+    evaluate F and F' at t >= 0; the radial extremals have a = 0, and only
+    the level-set extremal (a < 0), which needs no derivative, has not.
+    """
+
+    sign: int
+    s: float
+    e: float
+    c: float = 1.0
+    a: float = 0.0
+
+    def value(self, t):
+        t = np.abs(np.asarray(t, dtype=float))
+        if self.sign > 0:
+            out = self.c * (1.0 + t**self.s) ** self.e
+        elif self.e == 0:
+            out = self.c * np.where(t <= 1.0, 1.0, 0.0)
+        else:
+            out = self.c * np.clip(1.0 - t**self.s, 0.0, None) ** self.e
+        return out * t**self.a if self.a else out
+
+    def _no_derivative(self):
+        if self.e == 0 or self.a:
+            raise ValueError(f"{self} has no pointwise derivative in the family")
+
+    def derivative(self, t):
+        self._no_derivative()
+        s, e = self.s, self.e
+        t = np.abs(np.asarray(t, dtype=float))
+        if self.sign > 0:
+            # t^(s-1) (1 + t^s)^(e-1) with no inf * 0 where t^s overflows
+            return self.c * (e * s * (1.0 + t**s) ** e / (t + t ** (1 - s)))
+        base = np.clip(1 - t**s, 0.0, None)
+        safe = np.where(base > 0, base, 1.0)
+        return self.c * (-e * s * t ** (s - 1) * safe ** (e - 1) * (base > 0))
+
+    def moment(self, k: float, power: float = 1.0, derivative: bool = False) -> float:
+        """integral of t^k F(t)^power dt over the support; with
+        ``derivative``, of t^k |F'(t)|^power dt; ``inf`` if it diverges."""
+        s = self.s
+        if derivative:
+            self._no_derivative()
+            scale = abs(self.c * self.e * s) ** power
+            k, m = k + (s - 1) * power, (self.e - 1) * power
+        else:
+            scale, k, m = self.c**power, k + self.a * power, self.e * power
+        x = (k + 1) / s
+        y = m + 1 if self.sign < 0 else -m - x
+        if x <= 0 or y <= 0:
+            return math.inf
+        return scale * _beta(x, y) / s
+
+    def norm(self, k: float, power: float, derivative: bool = False) -> float:
+        """``moment(k, power, derivative) ** (1 / power)``, formed without
+        the power of the scale c, which can overflow where the norm does not."""
+        return self.c * self.scaled(1 / self.c).moment(k, power, derivative) ** (1 / power)
+
+    def scaled(self, factor: float) -> "BetaFamily":
+        return BetaFamily(self.sign, self.s, self.e, self.c * factor, self.a)
+
+    def power(self, alpha: float) -> "BetaFamily":
+        return BetaFamily(self.sign, self.s, self.e * alpha, self.c**alpha, self.a * alpha)
+
+
+def moment_family(p: float, lam: float) -> BetaFamily:
+    """Profile of the moment-bound extremal: (1 - t^p)_+^{1/(lam-1)} for
+    lam > 1, (1 + t^p)^{1/(lam-1)} for lam < 1, and the indicator of
+    [0, 1] at lam = inf."""
+    if lam == math.inf:
+        return BetaFamily(-1, p, 0.0)
+    return BetaFamily(-1 if lam > 1 else 1, p, 1.0 / (lam - 1))
+
+
+def levelset_family(lam: float, n: int, p: float) -> BetaFamily:
+    """The equality case of the level-set bound: (1 - t^(lam-1))_+^(n/p)
+    for lam > 1, (t^(lam-1) - 1)_+^(n/p) = t^((lam-1) n/p) (1 - t^(1-lam))^(n/p)
+    for lam < 1, and the indicator of [0, 1] at lam = inf."""
+    if lam == math.inf:
+        return BetaFamily(-1, 1.0, 0.0)
+    if lam > 1:
+        return BetaFamily(-1, lam - 1, n / p)
+    return BetaFamily(-1, 1 - lam, n / p, a=(lam - 1) * n / p)
+
+
+def sobolev_family(p: float, n: int) -> BetaFamily:
+    """Profile of the sharp-Sobolev extremal (Aubin-Talenti):
+    (1 + t^{p/(p-1)})^{1-n/p} for 1 < p < n, the indicator at p = 1."""
+    if p == 1:
+        return BetaFamily(-1, 1.0, 0.0)
+    if not 1 < p < n:
+        raise ValueError("sobolev profile needs 1 <= p < n")
+    return BetaFamily(1, p / (p - 1), 1.0 - n / p)
+
+
 def omega_n(n: int) -> float:
     """Volume of the unit euclidean ball in dimension n: pi^k / k! for
     n = 2k and 2 (2 pi)^k / n!! for n = 2k + 1, so omega_1 is exactly 2."""
@@ -140,7 +245,7 @@ class ConstantRecord:
     name: str
     params: dict
     value: float
-    provenance: str  # the method tag: "closed-form" or "quadrature"
+    provenance: str  # the method tag, "closed-form"
     oracle: str = ""
 
     def to_json(self) -> dict:
@@ -173,7 +278,7 @@ _CACHE = ConstantCache()
 
 
 # ---------------------------------------------------------------------------
-# closed-form / quadrature constants
+# closed-form constants
 
 
 def c_np(n: int, p: float) -> ConstantRecord:
@@ -196,85 +301,32 @@ def c_np(n: int, p: float) -> ConstantRecord:
     return _CACHE.get_or_compute("c_np", compute, n=n, p=p)
 
 
-def moment_profile(p: float, lam: float):
-    """1-D moment-extremal profile: the function whose composition with a
-    gauge is the equality case of the dual-mixed-volume moment bound."""
-    if lam == math.inf:
-        return lambda t: np.where(np.abs(t) <= 1.0, 1.0, 0.0)
-    if lam > 1:
-        return lambda t: np.clip(1.0 - np.abs(t) ** p, 0.0, None) ** (1.0 / (lam - 1))
-    return lambda t: (1.0 + np.abs(t) ** p) ** (1.0 / (lam - 1))
-
-
-def moment_profile_support(p: float, lam: float, n: int) -> float:
-    """Truncation radius for the profile (exact 1 for lam >= 1 branches)."""
-    if lam == math.inf or lam > 1:
-        return 1.0
-    # decay t^{p/(lam-1)}: pick T so the n+p-moment tail is negligible
-    decay = p / (1 - lam)  # positive
-    T = 10.0
-    while T ** (n + p - decay) / max(decay - n - p, 1e-9) > 1e-12 and T < 1e8:
-        T *= 2.0
-    return T
-
-
 def moment_constant(n: int, p: float, lam: float) -> ConstantRecord:
     """Sharp constant of the functional dual-mixed-volume (moment) bound,
     derived by evaluating the bound at its radial extremal on the ball.
 
-    Exactly 1 at lam = infinity.
+    Exactly 1 at lam = infinity.  The profile moments are beta functions;
+    the bound raises them to powers of order lam/(lam-1), so it is formed
+    in logs.
     """
 
     def compute():
-        if lam == math.inf:
-            return ConstantRecord(
-                "moment_constant",
-                {"n": n, "p": p, "lam": lam},
-                1.0,
-                CLOSED_FORM,
-                "indicator extremal, exact",
+        value, how = 1.0, "indicator extremal, exact"
+        if lam != math.inf:
+            lamp = holder_conjugate(lam)
+            g = moment_family(p, lam)
+            nw = n * omega_n(n)
+            value = math.exp(
+                math.log((n + p) / n * nw * g.moment(n + p - 1))
+                - (n + p * lamp) / n * math.log(nw * g.moment(n - 1))
+                + p * lamp / (n * lam) * math.log(nw * g.moment(n - 1, lam))
+                + p / n * math.log(omega_n(n))
             )
-        lamp = holder_conjugate(lam)
-        g = moment_profile(p, lam)
-        T = np.inf if lam < 1 else 1.0
-        r1 = integrate_1d(lambda r: r ** (n - 1) * g(r), 0, T)
-        rl = integrate_1d(lambda r: r ** (n - 1) * g(r) ** lam, 0, T)
-        rp = integrate_1d(lambda r: r ** (n + p - 1) * g(r), 0, T)
-        nw = n * omega_n(n)
-        vtil = (n + p) / n * nw * rp
-        l1 = nw * r1
-        llam = (nw * rl) ** (1.0 / lam)
-        value = vtil / (
-            l1 ** ((n + p * lamp) / n)
-            * llam ** (-p * lamp / n)
-            * omega_n(n) ** (-p / n)
-        )
-        return ConstantRecord(
-            "moment_constant",
-            {"n": n, "p": p, "lam": lam},
-            value,
-            QUADRATURE,
-            "radial quadrature of the moment bound at its ball extremal",
-        )
+            how = "beta-function moments of the bound at its ball extremal"
+        return ConstantRecord("moment_constant", {"n": n, "p": p, "lam": lam}, value,
+                              CLOSED_FORM, how)
 
     return _CACHE.get_or_compute("moment_constant", compute, n=n, p=p, lam=lam)
-
-
-def sobolev_profile(p: float, n: int):
-    """Radial profile of the sharp-Sobolev extremal; indicator at p = 1."""
-    if p == 1:
-        return lambda t: np.where(np.abs(t) <= 1.0, 1.0, 0.0)
-    if not 1 < p < n:
-        raise ValueError("sobolev profile needs 1 <= p < n")
-    return lambda t: (1.0 + np.abs(t) ** (p / (p - 1))) ** (1.0 - n / p)
-
-
-def sobolev_profile_deriv(p: float, n: int):
-    if p == 1:
-        raise ValueError("indicator profile has no pointwise derivative")
-    q = p / (p - 1)
-    c = (1.0 - n / p) * q
-    return lambda t: c * np.abs(t) ** (q - 1) * (1.0 + np.abs(t) ** q) ** (-n / p) * np.sign(t)
 
 
 def cnv_np(n: int, p: float) -> ConstantRecord:
@@ -285,25 +337,15 @@ def cnv_np(n: int, p: float) -> ConstantRecord:
     """
 
     def compute():
-        if p == 1:
-            return ConstantRecord(
-                "cnv_np", {"n": n, "p": p}, 1.0, CLOSED_FORM, "indicator extremal, exact"
-            )
-        F = sobolev_profile(p, n)
-        dF = sobolev_profile_deriv(p, n)
-        pstar = n * p / (n - p)
-        grad_int = integrate_1d(lambda r: r ** (n - 1) * np.abs(dF(r)) ** p, 0, math.inf)
-        norm_int = integrate_1d(lambda r: r ** (n - 1) * F(r) ** pstar, 0, math.inf)
-        nw = n * omega_n(n)
-        lhs = (1.0 / n) * nw * grad_int
-        rhs = (nw * norm_int) ** (p / pstar) * omega_n(n) ** (p / n)
-        return ConstantRecord(
-            "cnv_np",
-            {"n": n, "p": p},
-            lhs / rhs,
-            QUADRATURE,
-            "radial quadrature of the Sobolev bound at its ball extremal",
-        )
+        value, how = 1.0, "indicator extremal, exact"
+        if p != 1:
+            F = sobolev_family(p, n)
+            pstar = n * p / (n - p)
+            nw = n * omega_n(n)
+            lhs = (1.0 / n) * nw * F.moment(n - 1, p, derivative=True)
+            rhs = (nw * F.moment(n - 1, pstar)) ** (p / pstar) * omega_n(n) ** (p / n)
+            value, how = lhs / rhs, "beta-function moments of the bound at its ball extremal"
+        return ConstantRecord("cnv_np", {"n": n, "p": p}, value, CLOSED_FORM, how)
 
     return _CACHE.get_or_compute("cnv_np", compute, n=n, p=p)
 
@@ -349,27 +391,6 @@ def levelset_constant(n: int, p: float, lam: float) -> float:
         * math.exp(b * (math.lgamma(n / p + 1 / (lam - 1) + 2) - math.lgamma(lam / (lam - 1))
                         - math.lgamma(n / p + 2)))
     )
-
-
-def levelset_constant_minimized(n: int, p: float, lam: float) -> float:
-    """Independent oracle: minimize the proof's r-parameterized bound."""
-    from scipy.optimize import minimize_scalar
-
-    beta = p / (n + p)
-    G, M = 1.3, 0.7  # arbitrary positive moments; the ratio is invariant
-    if lam > 1:
-        C = integrate_1d(lambda t: (1 - t ** (lam - 1)) ** ((n + p) / p), 0, 1)
-        phi = lambda r: (G - r ** (1 - lam) * M) * C ** (-beta) * r ** (-beta)
-    else:
-        C = integrate_1d(lambda t: (t ** (lam - 1) - 1) ** ((n + p) / p), 0, 1)
-        phi = lambda r: (M - r ** (lam - 1) * G) * r ** (n / (n + p) - lam) * C ** (-beta)
-    res = minimize_scalar(
-        lambda u: -phi(math.exp(u)), bounds=(-25, 25), method="bounded",
-        options={"xatol": 1e-14},
-    )
-    best = -res.fun
-    lamp = holder_conjugate(lam)
-    return best / (M ** (-p / ((n + p) * (lam - 1))) * G ** ((n + p * lamp) / (n + p)))
 
 
 # ---------------------------------------------------------------------------

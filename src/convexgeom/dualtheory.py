@@ -35,7 +35,6 @@ __all__ = [
     "omega_p_function",
     "omega_p_radial",
     "omega_p_levelset_radial",
-    "omega_p_levelset",
     "projection_body_volume",
 ]
 
@@ -49,9 +48,6 @@ class StarBody:
         self.label = label
         probe = sphere_rule(dim, 64)
         self.bounding_radius = float(np.max(radial(probe.nodes))) * 1.001
-
-    def __repr__(self):
-        return f"StarBody({self.label}, n={self.dim})"
 
     def contains(self, x) -> np.ndarray:
         x = np.atleast_2d(x)
@@ -256,51 +252,6 @@ def omega_p_levelset_radial(profile: Profile, n: int, p: float, s: float) -> flo
     """
     d = abs(profile.dF(np.array([s]))[0])
     return n * omega_n(n) * s ** (n * (n - 1) / (n + p)) * d ** ((p - 1) * n / (n + p))
-
-
-def omega_p_levelset(
-    l: CompactFunction,
-    p: float,
-    t: float,
-    rmax: float | None = None,
-) -> float:
-    """Level-set integral Omega_p(l, t) for a function whose superlevel
-    sets are star-shaped about the origin.
-
-    For each direction the level radius is found by bracketed root
-    finding; the surface integral of |det K l|^{p/(n+p)} / |grad l| is
-    then a spherical quadrature with the star-shaped area element
-    r^{n-1} |grad l| / |<grad l, u>|.
-    """
-    from scipy.optimize import brentq
-
-    n = l.dim
-    rule = sphere_rule(n, 512 if n == 2 else 64)
-    R = rmax if rmax is not None else l.box * math.sqrt(n)
-    out = 0.0
-    for u, w in zip(rule.nodes, rule.weights):
-
-        def g(r):
-            return float(l(u[None, :] * r)[0]) - t
-
-        if g(0.0) <= 0:
-            continue
-        hi = R
-        while g(hi) > 0 and hi < 64 * R:
-            hi *= 2.0
-        if g(hi) > 0:
-            raise ValueError("level set unbounded in some direction")
-        r = brentq(g, 1e-12, hi, xtol=1e-13)
-        x = (u * r)[None, :]
-        grad = l.grad(x)[0]
-        gn = float(np.linalg.norm(grad))
-        radial = abs(float(grad @ u))
-        if gn == 0 or radial == 0:
-            raise ValueError("degenerate gradient on the level set")
-        det = float(bordered_hessian_det(l, x)[0])
-        # dS = r^{n-1} |grad| / |<grad, u>| dxi, integrand det^{p/(n+p)}/|grad|
-        out += w * r ** (n - 1) / radial * det ** (p / (n + p))
-    return out
 
 
 def projection_body_volume(

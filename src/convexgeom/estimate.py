@@ -158,6 +158,21 @@ def product(factors) -> Estimate:
     return out
 
 
+def power_product(factors) -> Estimate:
+    """Product of e ** a over the (e, a) pairs of positive estimates e.
+
+    Formed in logs, so that large opposite powers whose product is
+    moderate do not overflow one by one; the error is the delta method's
+    for independent factors, as for ``product``.
+    """
+    value = math.exp(math.fsum(a * math.log(e.value) for e, a in factors))
+    err = value * math.hypot(*(a * e.stderr / e.value for e, a in factors))
+    method = CLOSED_FORM
+    for e, _ in factors:
+        method = _combine_method(method, e.method)
+    return Estimate(value, err, sum(e.samples for e, _ in factors), method)
+
+
 def from_samples(values, scale: float = 1.0) -> Estimate:
     """Monte-Carlo estimate of ``scale * mean(values)``."""
     values = np.asarray(values, dtype=float)

@@ -1,10 +1,12 @@
 """Compactly supported functions and functional inequalities.
 
 Functions carry evaluation, gradient and Hessian oracles together with
-a bounding box outside which they vanish.  The extremal families (the
+a bounding box outside which they vanish (or, for a heavy-tailed
+profile, a box that the box samplers use).  The extremal families (the
 moment profile, the Sobolev profile and the level-set profile) are
-built here, composed with body gauges and normalized by 1-D quadrature
-so that the functional mixed volumes reproduce their set versions.
+built here, composed with body gauges and normalized by their exact
+profile moments so that the functional mixed volumes reproduce their
+set versions.
 """
 
 from __future__ import annotations
@@ -17,15 +19,15 @@ import numpy as np
 from . import rng as rngmod
 from .bodies import ConvexBody
 from .constants import (
+    BetaFamily,
     holder_conjugate,
     integrate_1d,
     lambda_admissible,
     levelset_constant,
-    moment_profile,
-    moment_profile_support,
+    levelset_family,
+    moment_family,
     omega_n,
-    sobolev_profile,
-    sobolev_profile_deriv,
+    sobolev_family,
 )
 from .estimate import Estimate, from_samples, mc_direction_moments, mc_draws
 from .functionals import (
@@ -111,7 +113,10 @@ class CompactFunction:
         """
         if self.grad is None:
             raise ValueError("no gradient oracle")
-        x = gen.uniform(-0.7 * self.box, 0.7 * self.box, size=(probes, self.dim))
+        # the box of a heavy-tailed profile reaches far into its tail, where
+        # the differences cancel; probe within twice the body instead
+        r = min(self.box, 2 * self.body.bounding_radius) if self.is_radial else self.box
+        x = gen.uniform(-0.7 * r, 0.7 * r, size=(probes, self.dim))
         g = self.grad(x)
         worst = 0.0
         scale = max(np.max(np.abs(g)), 1e-9)
@@ -143,21 +148,28 @@ class CompactFunction:
 class Profile:
     """1-D radial profile t >= 0 -> F(t) with optional derivatives.
 
-    ``T`` is the support radius (may be inf); ``Ttrunc`` a finite
-    truncation radius adequate for the integrals used here.
+    ``T`` is the support radius (may be inf) and ``R`` a finite radius for
+    the samplers and support boxes that need one (``T`` itself when that
+    is finite).  A profile of the extremal family carries it as ``beta``,
+    and its moments are then closed forms; any other profile is
+    integrated over [0, T] by ``integrate_1d``.
     """
 
     F: callable
     dF: callable | None = None
     d2F: callable | None = None
     T: float = 1.0
-    Ttrunc: float = 1.0
+    R: float = 1.0
     smoothness: str = "C2"
     label: str = "profile"
+    beta: BetaFamily | None = None
 
     def moment(self, k: float, power: float = 1.0, derivative: bool = False) -> float:
         """integral of t^k F(t)^power dt over the support; with
-        ``derivative``, of t^k |F'(t)|^power dt."""
+        ``derivative``, of t^k |F'(t)|^power dt.  ``inf`` where an
+        extremal-family moment diverges."""
+        if self.beta is not None:
+            return self.beta.moment(k, power, derivative)
         F, dF = self.F, self.dF
         if derivative:
             if dF is None:
@@ -167,95 +179,73 @@ class Profile:
             integrand = lambda t: t**k * F(t)
         else:
             integrand = lambda t: t**k * F(t) ** power
-        return integrate_1d(integrand, 0, self.Ttrunc)
+        return integrate_1d(integrand, 0, self.T)
+
+    def norm(self, k: float, power: float, derivative: bool = False) -> float:
+        """``moment(k, power, derivative) ** (1 / power)``; for the extremal
+        family without the power of its scale, which can overflow."""
+        if self.beta is not None:
+            return self.beta.norm(k, power, derivative)
+        return self.moment(k, power, derivative) ** (1 / power)
 
     def power(self, alpha: float) -> "Profile":
         """Pointwise power F^alpha; its derivative vanishes where F does."""
+        label = f"{self.label}^{alpha:g}"
+        if self.beta is not None:
+            return _family_profile(self.beta.power(alpha), self.R, self.smoothness, label)
         F, dF = self.F, self.dF
         dFa = None
         if dF is not None:
             dFa = lambda t: (alpha * np.where(F(t) > 0, F(t), 1.0) ** (alpha - 1)
                              * (F(t) > 0) * dF(t))
-        return Profile(lambda t: F(t) ** alpha, dFa, None, self.T, self.Ttrunc,
-                       self.smoothness, f"{self.label}^{alpha:g}")
+        return Profile(lambda t: F(t) ** alpha, dFa, None, self.T, self.R,
+                       self.smoothness, label)
 
     def scaled(self, a: float) -> "Profile":
+        label = f"{a:g}*{self.label}"
+        if self.beta is not None:
+            return _family_profile(self.beta.scaled(a), self.R, self.smoothness, label)
         F, dF, d2F = self.F, self.dF, self.d2F
         return Profile(
             lambda t: a * F(t),
             None if dF is None else (lambda t: a * dF(t)),
             None if d2F is None else (lambda t: a * d2F(t)),
             self.T,
-            self.Ttrunc,
+            self.R,
             self.smoothness,
-            f"{a:g}*{self.label}",
+            label,
         )
+
+
+def _family_profile(beta: BetaFamily, R: float, smoothness: str, label: str) -> Profile:
+    T = 1.0 if beta.sign < 0 else math.inf
+    dF = None if beta.e == 0 or beta.a else beta.derivative
+    return Profile(beta.value, dF, None, T, R, smoothness, label, beta)
+
+
+def _sampling_radius(tail: float) -> float:
+    """Finite radius for the samplers of a heavy-tailed profile.  Its
+    normalizing moment has an integrand decaying like t^(tail - 1), tail
+    < 0; the radius is the first 10 * 2^j, j <= 24, past which that
+    tail, t^tail / -tail, is at most 1e-12."""
+    need = (1e-12 * -tail) ** (1.0 / tail)
+    return 10.0 * 2.0 ** min(24, max(0, math.ceil(math.log2(need / 10.0))))
 
 
 def moment_extremal_profile(p: float, lam: float, n: int) -> Profile:
     """Radial profile of the moment-bound extremal family."""
-    g = moment_profile(p, lam)
-    T = math.inf if (lam != math.inf and lam < 1) else 1.0
-    Ttr = moment_profile_support(p, lam, n)
-    dF = None
-    if lam != math.inf:
-        e = 1.0 / (lam - 1.0)
-        if lam > 1:
-
-            def dF(t):
-                t = np.abs(np.asarray(t, dtype=float))
-                base = np.clip(1 - t**p, 0.0, None)
-                safe = np.where(base > 0, base, 1.0)
-                return -e * p * t ** (p - 1) * safe ** (e - 1) * (base > 0)
-
-        else:
-
-            def dF(t):
-                t = np.abs(np.asarray(t, dtype=float))
-                return e * p * t ** (p - 1) * (1 + t**p) ** (e - 1)
-
+    beta = moment_family(p, lam)
+    # the (n+p-1)-moment normalizes it; for lam < 1 it decays like t^(p/(lam-1))
+    R = 1.0 if beta.sign < 0 else _sampling_radius(n + p - p / (1 - lam))
     smooth = "C0" if lam == math.inf else "C1"
-    return Profile(lambda t: g(np.asarray(t, dtype=float)), dF, None, T, Ttr, smooth,
-                   f"moment(p={p:g},lam={lam:g})")
+    return _family_profile(beta, R, smooth, f"moment(p={p:g},lam={lam:g})")
 
 
 def sobolev_extremal_profile(p: float, n: int) -> Profile:
     """Radial profile of the sharp-Sobolev extremal; indicator at p = 1."""
-    if p == 1:
-        F = sobolev_profile(1, n)
-        return Profile(lambda t: F(np.asarray(t, dtype=float)), None, None, 1.0, 1.0,
-                       "C0", "sobolev(p=1)")
-    F = sobolev_profile(p, n)
-    dF = sobolev_profile_deriv(p, n)
-    # truncate where the p*-norm tail is negligible
-    decay = (n - p) / (p - 1)
-    T = 10.0
-    pstar = n * p / (n - p)
-    while T ** (n - pstar * decay) > 1e-10 and T < 1e9:
-        T *= 2.0
-    # subtract the cutoff value so the truncated profile stays continuous:
-    # a sharp jump at T would carry a surface gradient term the radial
-    # quadrature cannot see, and the truncated function would spuriously
-    # dip below the sharp constant
-    c = float(F(np.asarray([T], dtype=float))[0])
-
-    def Ftr(t):
-        t = np.asarray(t, dtype=float)
-        return np.maximum(F(np.minimum(t, T)) - c, 0.0)
-
-    def dFtr(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t < T, dF(t), 0.0)
-
-    return Profile(
-        Ftr,
-        dFtr,
-        None,
-        math.inf,
-        T,
-        "C2",
-        f"sobolev(p={p:g})",
-    )
+    # its L_{p*} norm has the integrand t^(n-1) F^{p*} ~ t^(-n/(p-1) - 1)
+    R = 1.0 if p == 1 else _sampling_radius(-n / (p - 1))
+    return _family_profile(sobolev_family(p, n), R, "C0" if p == 1 else "C2", f"sobolev(p={p:g})")
 
 
 def _smoothstep(s):
@@ -349,7 +339,7 @@ def radial_function(profile: Profile, body: ConvexBody) -> CompactFunction:
                     + profile.dF(g)[:, None, None] * body.gauge_hess(x)
                 )
 
-    box = profile.Ttrunc * body.bounding_radius
+    box = profile.R * body.bounding_radius
     supval = float(profile.F(np.array([0.0]))[0])
     return CompactFunction(
         f, body.dim, box, grad, hess, profile.smoothness, supval,
@@ -397,7 +387,7 @@ class _RadialSampler:
         self.body = l.body
         self.dim = n
         # the radial density in s = gauge(x), including the s^{n-1} area factor
-        self.radial = _RadialBins(lambda s: s ** (n - 1) * prof.F(s), prof.Ttrunc)
+        self.radial = _RadialBins(lambda s: s ** (n - 1) * prof.F(s), prof.R)
         self.nw = n * omega_n(n)
 
     def sample(self, gen, size):
@@ -465,7 +455,7 @@ def _profile_decreasing(l: CompactFunction, probes: int = 512) -> bool:
     prof = l.profile
     if prof.dF is None:
         return False
-    t = np.linspace(0, prof.Ttrunc, probes + 1)[1:]
+    t = np.linspace(0, prof.R, probes + 1)[1:]
     return bool(np.all(prof.dF(t) <= 1e-12))
 
 
@@ -489,9 +479,9 @@ def lp_norm(
         raise ValueError("lam must be positive or inf")
     n = l.dim
     if l.is_radial:
-        radial = l.profile.moment(n - 1, lam)
+        radial = l.profile.norm(n - 1, lam)
         sphere = _gauge_sphere_integral(l, lambda u: l.body.gauge(u) ** (-n))
-        return Estimate(radial * sphere, 0.0, 0, "quadrature") ** (1.0 / lam)
+        return Estimate(radial * sphere ** (1.0 / lam), 0.0, 0, "quadrature")
     gen = rngmod.substream(seed, "lpnorm", lam, l)
     return l.box_mean(gen, budget, lambda x: l(x) ** lam) ** (1.0 / lam)
 
@@ -670,35 +660,25 @@ def N_p_function_body(
 # the 1-D level-set lemma
 
 
-def levelset_extremal(lam: float, n: int, p: float):
-    """Profile achieving equality in the level-set bound."""
+def levelset_extremal(lam: float, n: int, p: float) -> Profile:
+    """Profile achieving equality in the level-set bound, on [0, 1]."""
     _check_lambda(lam, n, p)
-    if lam == math.inf:
-        return lambda t: np.where((0 <= np.asarray(t)) & (np.asarray(t) <= 1), 1.0, 0.0)
-    if lam > 1:
-        return lambda t: np.clip(1 - np.asarray(t, dtype=float) ** (lam - 1), 0, None) ** (n / p)
-    return lambda t: np.clip(np.asarray(t, dtype=float) ** (lam - 1) - 1, 0, None) ** (n / p)
+    return _family_profile(levelset_family(lam, n, p), 1.0, "C0", f"levelset(lam={lam:g})")
 
 
-def levelset_check(
-    g, n: int, p: float, lam: float, T: float = 1.0, ess_sup: float | None = None
-) -> float:
+def levelset_check(g: Profile, n: int, p: float, lam: float) -> float:
     """Ratio LHS/RHS of the level-set inequality for a 1-D function
-    supported on [0, T]; contract: >= 1, with 1 at the extremal.
-
-    ``g`` is vectorised: it maps an array of t to their values."""
+    supported on [0, g.T]; contract: >= 1, with 1 at the extremal."""
     _check_lambda(lam, n, p)
-    gs = lambda t: np.broadcast_to(np.asarray(g(t), dtype=float), t.shape)
-    lhs_int = integrate_1d(lambda t: gs(t) ** ((n + p) / n), 0, T)
-    G = integrate_1d(gs, 0, T)
+    lhs_int = g.moment(0, (n + p) / n)
+    G = g.moment(0)
     if G <= 0:
         raise ValueError("function must be nonzero")
     lhs = lhs_int ** (n / (n + p))
     if lam == math.inf:
-        S = ess_sup if ess_sup is not None else T
-        rhs = S ** (-p / (n + p)) * G
+        rhs = g.T ** (-p / (n + p)) * G
         return lhs / rhs
-    M = integrate_1d(lambda t: gs(t) * t ** (lam - 1), 0, T)
+    M = g.moment(lam - 1)
     lamp = holder_conjugate(lam)
     rhs = (
         levelset_constant(n, p, lam)

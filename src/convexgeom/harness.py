@@ -9,13 +9,14 @@ asserted.
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import functools
 import io
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -50,11 +51,12 @@ from .dualtheory import (
     omega_p_function,
     omega_p_radial,
 )
-from .estimate import MONTE_CARLO, Estimate, product
+from .estimate import MONTE_CARLO, Estimate, power_product, product
 from .funcspace import (
     CompactFunction,
     I_p_functions,
     N_p_function_body,
+    Profile,
     bump_profile,
     dual_mixed_volume_f,
     levelset_check,
@@ -184,6 +186,8 @@ class CaseResult:
 class Report:
     config: RunConfig
     results: list[CaseResult]
+    # instances not evaluated, each {"id", "instance", "reason"}
+    skipped: list[dict] = field(default_factory=list)
 
     @property
     def failed(self) -> list[CaseResult]:
@@ -203,6 +207,7 @@ class Report:
             "config": cfg,
             "summary": self.summary(),
             "results": [dict(r.__dict__) for r in self.results],
+            "skipped": self.skipped,
         }
 
     def to_csv(self) -> str:
@@ -217,7 +222,9 @@ class Report:
 @dataclass
 class InequalityCase:
     """One registered display: ``instances`` yields (label, evaluator)
-    pairs; each evaluator maps (budget, seed) to a ratio Estimate."""
+    pairs; each evaluator maps (budget, seed) to a ratio Estimate.  An
+    instance whose display is infinite on both sides is not yielded but
+    recorded through :func:`_finite`."""
 
     id: str
     relation: str  # "ge", "eq" or "probe"
@@ -315,6 +322,34 @@ def _function_corpus(n: int, p: float, lam: float, seed: int, smooth_only: bool,
 
 # ---------------------------------------------------------------------------
 # case evaluators
+
+
+# the skipped-instance list of the run() collecting instances, if any
+_SKIPPED: contextvars.ContextVar[list[dict] | None] = contextvars.ContextVar(
+    "skipped", default=None)
+
+
+def _finite(case_id: str, fs, *moments):
+    """The functions of ``fs`` whose profile moments are finite.
+
+    Each of ``moments`` is a (k, power, derivative) triple of
+    ``Profile.moment`` that the case's display needs, tested through
+    ``Profile.norm``, which does not overflow.  A function with an
+    infinite one (such as the L_p surface measure of the moment extremal
+    for lam > 2 and p >= (lam-1)/(lam-2)) is recorded as skipped, with the
+    reason, instead of reporting infinity as a ratio.
+    """
+    for f in fs:
+        bad = [m for m in moments if f.is_radial and math.isinf(f.profile.norm(*m))]
+        if not bad:
+            yield f
+            continue
+        k, power, derivative = bad[0]
+        what = f"|F'|^{power:g}" if derivative else f"F^{power:g}"
+        skipped = _SKIPPED.get()
+        if skipped is not None:
+            skipped.append({"id": case_id, "instance": f.label,
+                            "reason": f"the t^{k:g} {what} moment of its profile diverges"})
 
 
 def _body_tuples(bodies, n, count=3):
@@ -466,19 +501,30 @@ def _rsid_s_instances(config: RunConfig):
         yield label, ev
 
 
+def _norm_power(l: CompactFunction, n, p, lam, budget, seed, k: float = 1.0) -> Estimate:
+    """(||l||_1^((n + p lam')/n) ||l||_lam^(-p lam'/n))^k, the norm factor
+    of the functional bounds, formed in logs: at lam = 1.01 the two powers
+    are about +-100 p/n."""
+    lamp = holder_conjugate(lam)
+    return power_product([
+        (lp_norm(l, 1.0, budget=budget, seed=seed), k * (n + p * lamp) / n),
+        (lp_norm(l, lam, budget=budget, seed=seed), -k * p * lamp / n),
+    ])
+
+
 def _moment_instances(config: RunConfig):
     n, p, lam = config.n, config.p, config.lam
     ct = moment_constant(n, p, lam).value
-    lamp = holder_conjugate(lam)
-    fs = function_corpus(config)
+    needs = [(n + p - 1, 1.0, False), (n - 1, 1.0, False)]
+    if lam != math.inf:
+        needs.append((n - 1, lam, False))
     L = Ball(1.0, n)
-    for f in fs[:4]:
+    for f in _finite("moment", function_corpus(config)[:4], *needs):
 
         def ev(budget, seed, f=f):
             lhs = dual_mixed_volume_f(f, L, p, budget=budget, seed=seed)
             rhs = (
-                lp_norm(f, 1.0, budget=budget, seed=seed) ** ((n + p * lamp) / n)
-                * lp_norm(f, lam, budget=budget, seed=seed) ** (-p * lamp / n)
+                _norm_power(f, n, p, lam, budget, seed)
                 * volume(L) ** (-p / n)
                 * ct
             )
@@ -493,11 +539,9 @@ def _sobolev_cnv_instances(config: RunConfig):
         return
     cnv = cnv_np(n, p).value
     pstar = n * p / (n - p)
-    fs = function_corpus(config)
+    fs = [f for f in function_corpus(config)[:4] if f.grad is not None]
     L = Ball(1.0, n)
-    for f in fs[:4]:
-        if f.grad is None:
-            continue
+    for f in _finite("sobolev_cnv", fs, (n - 1, p, True), (n - 1, pstar, False)):
 
         def ev(budget, seed, f=f):
             lhs = mixed_volume_f(f, L, p, budget=budget, seed=seed)
@@ -507,17 +551,10 @@ def _sobolev_cnv_instances(config: RunConfig):
         yield f.label, ev
 
 
-def _norm_factor_iso(l: CompactFunction, n, p, lam, lamp, budget, seed) -> Estimate:
-    return lp_norm(l, 1.0, budget=budget, seed=seed) ** (-(n + p * lamp) / p) * lp_norm(
-        l, lam, budget=budget, seed=seed
-    ) ** (lamp)
-
-
 def _iso_f_instances(config: RunConfig):
     n, p, lam = config.n, config.p, config.lam
     consts = derived_constants(n, p, lam)
     A = consts["A_nplam"].value
-    lamp = holder_conjugate(lam)
     fs = function_corpus(config)
     tuples = [(fs[0].label, [fs[0]] * (n - 1))]
     if n == 3 and len(fs) >= 2:
@@ -527,9 +564,7 @@ def _iso_f_instances(config: RunConfig):
         def ev(budget, seed, tup=tup):
             N = N_p_function_body(tup, p, budget=budget, seed=seed)
             vol_polar = N.polar_volume()
-            bound = A * product(
-                [_norm_factor_iso(l, n, p, lam, lamp, budget, seed) for l in tup]
-            )
+            bound = A * product([_norm_power(l, n, p, lam, budget, seed, -n / p) for l in tup])
             return bound / vol_polar
 
         yield label, ev
@@ -539,20 +574,13 @@ def _rsi_f_instances(config: RunConfig):
     n, p, lam = config.n, config.p, config.lam
     consts = derived_constants(n, p, lam)
     B = consts["B_nplam"].value
-    lamp = holder_conjugate(lam)
     fs = function_corpus(config)
     tuples = [(fs[0].label, [fs[0]] * n), (fs[-1].label, [fs[-1]] * n)]
     for label, tup in tuples:
 
         def ev(budget, seed, tup=tup):
             lhs = I_p_functions(tup, p, budget=budget, seed=seed)
-            rhs = B * product(
-                [
-                    lp_norm(l, 1.0, budget=budget, seed=seed) ** ((n + p * lamp) / n)
-                    * lp_norm(l, lam, budget=budget, seed=seed) ** (-p * lamp / n)
-                    for l in tup
-                ]
-            )
+            rhs = B * product([_norm_power(l, n, p, lam, budget, seed) for l in tup])
             return lhs / rhs
 
         yield label, ev
@@ -560,28 +588,16 @@ def _rsi_f_instances(config: RunConfig):
 
 def _levelset_instances(config: RunConfig):
     n, p, lam = config.n, config.p, config.lam
-    if lam == math.inf:
-        gs = [("indicator", lambda t: np.where(np.asarray(t) <= 1.0, 1.0, 0.0), 1.0, 1.0)]
-        for label, g, T, S in gs:
+    gs = [("indicator" if lam == math.inf else "extremal", levelset_extremal(lam, n, p))]
+    if lam != math.inf:
+        gs += [
+            ("exp", Profile(lambda t: np.exp(-np.asarray(t, dtype=float)), T=40.0)),
+            ("hat", Profile(lambda t: np.clip(1 - np.abs(np.asarray(t) - 1.0), 0, None), T=2.0)),
+        ]
+    for label, g in gs:
 
-            def ev(budget, seed, g=g, T=T, S=S):
-                return Estimate(
-                    levelset_check(g, n, p, math.inf, T=T, ess_sup=S), 0.0, 0, "quadrature"
-                )
-
-            yield label, ev
-        return
-    extremal = levelset_extremal(lam, n, p)
-    T_ex = 1.0 if lam > 1 else 64.0
-    gs = [
-        ("extremal", extremal, T_ex),
-        ("exp", lambda t: np.exp(-np.asarray(t, dtype=float)), 40.0),
-        ("hat", lambda t: np.clip(1 - np.abs(np.asarray(t) - 1.0), 0, None), 2.0),
-    ]
-    for label, g, T in gs:
-
-        def ev(budget, seed, g=g, T=T):
-            return Estimate(levelset_check(g, n, p, lam, T=T), 0.0, 0, "quadrature")
+        def ev(budget, seed, g=g):
+            return Estimate(levelset_check(g, n, p, lam), 0.0, 0, "quadrature")
 
         yield label, ev
 
@@ -641,8 +657,8 @@ def _sobolevish_5_5_instances(config: RunConfig):
     cnv = cnv_np(n, p).value
     C = bbar * cnv**n
     pstar = n * p / (n - p)
-    fs = [f for f in function_corpus(config) if f.grad is not None]
-    for f in fs[:3]:
+    fs = [f for f in function_corpus(config) if f.grad is not None][:3]
+    for f in _finite("sobolevish_5_5", fs, (n - 1, p, True)):
 
         def ev(budget, seed, f=f):
             lhs = I_tilde_p_functions([f] * n, p, budget=budget, seed=seed)
@@ -656,8 +672,8 @@ def _zhang_5_7_instances(config: RunConfig):
     n = config.n
     if config.p != 1:
         return
-    fs = [f for f in function_corpus(config) if f.grad is not None]
-    for f in fs[:3]:
+    fs = [f for f in function_corpus(config) if f.grad is not None][:3]
+    for f in _finite("zhang_5_7", fs, (n - 1, 1.0, True)):
 
         def ev(budget, seed, f=f):
             # half-cosine transform and 1/n normalization of the display
@@ -674,8 +690,8 @@ def _stronger_5_8_instances(config: RunConfig):
     n = config.n
     if config.p != 1:
         return
-    fs = [f for f in function_corpus(config) if f.grad is not None]
-    for f in fs[:3]:
+    fs = [f for f in function_corpus(config) if f.grad is not None][:3]
+    for f in _finite("stronger_5_8", fs, (n - 1, 1.0, True)):
 
         def ev(budget, seed, f=f):
             lhs = 0.5 * n ** (1.0 / n) * polar_projection_norm(f, 1.0, budget, seed)
@@ -707,8 +723,8 @@ def _stronger_p_instances(config: RunConfig):
         # constant unspecified
         _STRONGER_P_CACHE[key] = _stronger_p_calibration(n, p)
     c = _STRONGER_P_CACHE[key]
-    fs = [f for f in function_corpus(config) if f.grad is not None]
-    for f in fs[:3]:
+    fs = [f for f in function_corpus(config) if f.grad is not None][:3]
+    for f in _finite("stronger_p_5_9", fs, (n - 1, p, True)):
 
         def ev(budget, seed, f=f):
             lhs = polar_projection_norm(f, p, budget, seed)
@@ -803,13 +819,17 @@ def run(config: RunConfig) -> Report:
         unknown = wanted - set(case_ids())
         if unknown:
             raise ValueError(f"unknown case ids: {sorted(unknown)}")
-    jobs = []
-    for case in REGISTRY:
-        if wanted and case.id not in wanted:
-            continue
-        for label, ev in case.instances(config):
-            jobs.append((case, label, ev))
-    return Report(config, [_evaluate(case, label, ev, config) for case, label, ev in jobs])
+    jobs, skipped = [], []
+    token = _SKIPPED.set(skipped)
+    try:
+        for case in REGISTRY:
+            if wanted and case.id not in wanted:
+                continue
+            for label, ev in case.instances(config):
+                jobs.append((case, label, ev))
+    finally:
+        _SKIPPED.reset(token)
+    return Report(config, [_evaluate(case, label, ev, config) for case, label, ev in jobs], skipped)
 
 
 def emit(report: Report, json_path=None, csv_path=None) -> None:

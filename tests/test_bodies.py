@@ -96,6 +96,16 @@ class TestGaugeSupportDuality:
         u /= np.linalg.norm(u, axis=1)[:, None]
         assert np.allclose(polar(polar(E)).support(u), E.support(u), rtol=1e-9)
 
+    def test_polar_of_lq_ball(self):
+        # the polar of the l_q ball is the l_q' ball, 1/q + 1/q' = 1, and
+        # the polar of a polar is its base
+        L = LqBall(1.5, 2)
+        Lo = polar(L)
+        u = sphere_rule(2, 64).nodes
+        assert np.allclose(Lo.support(u), LqBall(3.0, 2).support(u), rtol=1e-12)
+        assert np.allclose(Lo.gauge(u), LqBall(3.0, 2).gauge(u), rtol=1e-12)
+        assert polar(Lo) is L
+
 
 class TestLinearImages:
     @given(d1=st.floats(0.3, 3.0), d2=st.floats(0.3, 3.0), sh=st.floats(-1.0, 1.0))
@@ -106,6 +116,16 @@ class TestLinearImages:
         v = volume(linear_image(L, A), budget=50_000, seed=8)
         exact = abs(np.linalg.det(A)) * 4.0
         assert abs(v.value - exact) <= 3 * v.stderr + 1e-9 * exact
+
+    def test_support_of_linear_image(self):
+        # h_{AK}(xi) = h_K(A^T xi): the image of the square is a parallelogram
+        A = np.array([[1.5, 0.4], [-0.3, 0.8]])
+        img = linear_image(Cube(1.0, 2), A)
+        corners = np.array([[1.0, 1.0], [-1.0, 1.0], [-1.0, -1.0], [1.0, -1.0]])
+        para = Polytope(corners @ A.T)
+        u = sphere_rule(2, 64).nodes
+        assert np.allclose(img.support(u), para.support(u), rtol=1e-12)
+        assert np.allclose(img.gauge(u), para.gauge(u), rtol=1e-12)
 
 
 class TestPolytopes:

@@ -14,8 +14,8 @@ from convexgeom.constants import (
     cnv_np,
     derived_constants,
     holder_conjugate,
+    integrate_1d,
     levelset_constant,
-    levelset_constant_minimized,
     moment_constant,
     omega_n,
     petty_bound,
@@ -26,6 +26,7 @@ from convexgeom.constants import (
 )
 from convexgeom.functionals import I_p, det_volume_many
 from convexgeom.sphere import sample_sphere
+from oracles import levelset_constant_minimized
 
 
 class TestOmegaN:
@@ -61,6 +62,61 @@ class TestClosedValues:
         alpha = reparam_lambda_to_alpha(lam, 2, 2.0)
         assert alpha == pytest.approx(1.7)
         assert reparam_lambda_to_alpha(math.inf, 2, 2.0) == math.inf
+
+
+def _moment_constant_by_quadrature(n, p, lam):
+    """The moment bound at its ball extremal, by radial quadrature."""
+    e = 1.0 / (lam - 1)
+    if lam > 1:
+        g, T = (lambda r: np.clip(1.0 - r**p, 0.0, None) ** e), 1.0
+    else:
+        g, T = (lambda r: (1.0 + r**p) ** e), math.inf
+    lamp = lam / (lam - 1)
+    nw = n * omega_n(n)
+    vtil = (n + p) / n * nw * integrate_1d(lambda r: r ** (n + p - 1) * g(r), 0, T)
+    l1 = nw * integrate_1d(lambda r: r ** (n - 1) * g(r), 0, T)
+    llam = (nw * integrate_1d(lambda r: r ** (n - 1) * g(r) ** lam, 0, T)) ** (1 / lam)
+    return vtil / (l1 ** ((n + p * lamp) / n) * llam ** (-p * lamp / n)
+                   * omega_n(n) ** (-p / n))
+
+
+def _cnv_np_by_quadrature(n, p):
+    """The Sobolev bound at the Aubin-Talenti profile, by radial quadrature."""
+    q, e = p / (p - 1), 1.0 - n / p
+    F = lambda r: (1.0 + r**q) ** e
+    dF = lambda r: e * q * r ** (q - 1) * (1.0 + r**q) ** (e - 1)
+    pstar = n * p / (n - p)
+    nw = n * omega_n(n)
+    grad = integrate_1d(lambda r: r ** (n - 1) * np.abs(dF(r)) ** p, 0, math.inf)
+    norm = integrate_1d(lambda r: r ** (n - 1) * F(r) ** pstar, 0, math.inf)
+    return nw * grad / n / ((nw * norm) ** (p / pstar) * omega_n(n) ** (p / n))
+
+
+class TestExtremalConstants:
+    @pytest.mark.parametrize("n,p,lam", [
+        (2, 2.0, 2.0), (2, 3.0, 0.9), (2, 1.0, 0.99), (2, 2.5, 1.01), (2, 6.0, 10.0),
+        (3, 2.0, 0.99), (3, 2.0, 1.5), (3, 1.5, 0.9), (3, 4.0, 1.01),
+    ])
+    def test_moment_constant_matches_quadrature(self, n, p, lam):
+        rec = moment_constant(n, p, lam)
+        assert rec.provenance == "closed-form"
+        assert rec.value == pytest.approx(_moment_constant_by_quadrature(n, p, lam), rel=1e-10)
+
+    @pytest.mark.parametrize("n,p", [(2, 1.5), (3, 1.5), (3, 2.0), (3, 2.5)])
+    def test_cnv_np_matches_quadrature(self, n, p):
+        rec = cnv_np(n, p)
+        assert rec.provenance == "closed-form"
+        assert rec.value == pytest.approx(_cnv_np_by_quadrature(n, p), rel=1e-10)
+
+    def test_finite_where_the_quadrature_overflows(self):
+        # the heavy tails overflow the quadrature's integrand to inf * 0
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            _moment_constant_by_quadrature(2, 1.0, 0.6767)
+        assert moment_constant(2, 1.0, 0.6767).value == pytest.approx(0.27970312547812, rel=1e-12)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+            _cnv_np_by_quadrature(2, 1.05)
+        for n, p in [(2, 1.05), (2, 1.8), (2, 1.95), (3, 2.6), (3, 2.9)]:
+            assert 0 < cnv_np(n, p).value < math.inf
 
 
 class TestLevelsetConstant:

@@ -19,7 +19,6 @@ from convexgeom.dualtheory import (
     omega_p,
     omega_p_ellipsoid,
     omega_p_function,
-    omega_p_levelset,
     omega_p_levelset_radial,
     omega_p_radial,
     projection_body_volume,
@@ -29,6 +28,7 @@ from convexgeom.funcspace import bump_profile, radial_function, radial_represent
 from convexgeom.functionals import projection_body
 from convexgeom.harness import corpus
 from convexgeom.sphere import sample_sphere
+from oracles import omega_p_levelset
 
 
 def _agree(a, b, extra=0.0):

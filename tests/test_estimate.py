@@ -12,6 +12,7 @@ from convexgeom.estimate import (
     closed,
     from_samples,
     mc_direction_moments,
+    power_product,
     quad_estimate,
 )
 
@@ -83,6 +84,23 @@ class TestArithmetic:
         assert repr(num) in str(info.value) and repr(den) in str(info.value)
         with pytest.raises(ZeroDivisionError, match="closed-form"):
             num / 0.0
+
+    def test_power_product_matches_the_powers(self):
+        a, b = mc(2.0, 0.1), quad_estimate(3.0)
+        got, want = power_product([(a, 2.5), (b, -1.5)]), a**2.5 * b**-1.5
+        assert got.value == pytest.approx(want.value, rel=1e-14)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-12)
+        assert (got.samples, got.method) == (1000, "monte-carlo")
+        assert power_product([(b, 2.0), (closed(2.0), 1.0)]).method == "quadrature"
+
+    def test_power_product_of_large_opposite_powers(self):
+        # each power alone overflows a float; the product is 4 * 2^-1
+        a, b = mc(4.0, 0.04), mc(8.0, 0.08)
+        with pytest.raises(OverflowError):
+            a**600
+        got = power_product([(a, 600.0), (b, -400.0 - 1 / 3)])
+        assert got.value == pytest.approx(0.5, rel=1e-12)
+        assert got.stderr == pytest.approx(0.5 * math.hypot(600 * 0.01, (400 + 1 / 3) * 0.01))
 
     def test_sum_and_difference(self):
         a, b = mc(2.0, 0.3), mc(1.0, 0.4)

@@ -10,9 +10,10 @@ from scipy.integrate import quad
 
 from convexgeom import rng as rngmod
 from convexgeom.bodies import Ball, Cube, Ellipsoid
-from convexgeom.constants import omega_n
+from convexgeom.constants import integrate_1d, omega_n
 from convexgeom.funcspace import (
     I_p_functions,
+    Profile,
     bump_profile,
     dual_mixed_volume_f,
     levelset_check,
@@ -30,6 +31,7 @@ from convexgeom.funcspace import (
     surface_measure_f,
 )
 from convexgeom.functionals import I_p, mixed_volume, dual_mixed_volume
+from oracles import quadpack
 
 
 def _agree(a, b, extra=0.0):
@@ -50,11 +52,38 @@ class TestProfiles:
         fd = (prof.F(t + 1e-6) - prof.F(t - 1e-6)) / 2e-6
         assert np.allclose(fd, prof.dF(t), atol=1e-5)
 
-    def test_sobolev_profile_continuous_at_cutoff(self):
-        prof = sobolev_extremal_profile(2.0, 3)
-        T = prof.Ttrunc
-        assert prof.F(T * (1 - 1e-9)) == pytest.approx(0.0, abs=1e-6)
-        assert prof.F(T + 1.0) == pytest.approx(0.0, abs=1e-15)
+    @pytest.mark.parametrize("kind, p, lam", [
+        ("moment", 1.05, 2.0), ("moment", 2.5, 2.0), ("moment", 1.05, 0.9),
+        ("moment", 2.5, 0.9), ("sobolev", 1.05, None), ("sobolev", 2.5, None),
+    ])
+    def test_extremal_moments_are_closed_forms(self, kind, p, lam):
+        # the moments each equality case needs, in closed form, against the
+        # package's integrator and QUADPACK on the untruncated profile
+        n = 3
+        if kind == "moment":
+            prof = moment_extremal_profile(p, lam, n)
+            needs = [(n + p - 1, 1.0, False), (n - 1, 1.0, False), (n - 1, lam, False),
+                     (n - 1, p, True)]
+        else:
+            prof = sobolev_extremal_profile(p, n)
+            needs = [(n - 1, n * p / (n - p), False), (n - 1, p, True)]
+        assert prof.T == (1.0 if kind == "moment" and lam > 1 else math.inf)
+        for k, power, derivative in needs:
+            if derivative:
+                integrand = lambda t: t**k * np.abs(prof.dF(t)) ** power
+            else:
+                integrand = lambda t: t**k * prof.F(t) ** power
+            exact = prof.moment(k, power, derivative)
+            assert integrate_1d(integrand, 0.0, prof.T) == pytest.approx(exact, rel=1e-9)
+            assert quadpack(integrand, 0.0, prof.T) == pytest.approx(exact, rel=1e-9)
+
+    def test_divergent_moment_is_infinite(self):
+        # |F'|^p of (1 - t^2)^(1/9) behaves like (1 - t)^(-16/9) at t = 1
+        prof = moment_extremal_profile(2.0, 10.0, 3)
+        assert prof.moment(2, 2.0, derivative=True) == math.inf
+        assert math.isfinite(prof.moment(2, 1.0, derivative=True))
+        # the Aubin-Talenti profile at n=3, p=2 is not integrable
+        assert sobolev_extremal_profile(2.0, 3).moment(2) == math.inf
 
     def test_moment_extremal_support(self):
         prof = moment_extremal_profile(2.0, 2.0, 2)
@@ -96,8 +125,7 @@ class TestNormalizations:
     def test_sobolev_extremal_gradient_normalization(self):
         f = normalized_sobolev_extremal(Ball(1.0, 3), 2.0)
         prof = f.profile
-        val = quad(lambda t: t ** (3 - 1) * abs(prof.dF(t)) ** 2, 0, prof.Ttrunc,
-                   limit=200)[0]
+        val = quad(lambda t: t ** (3 - 1) * abs(prof.dF(t)) ** 2, 0, math.inf)[0]
         assert val == pytest.approx(1.0, rel=1e-6)
 
 
@@ -221,7 +249,7 @@ class TestLevelset:
             assert levelset_check(g, n, p, lam) == pytest.approx(1.0, abs=1e-9)
 
     def test_non_extremal_is_strict(self):
-        assert levelset_check(lambda t: np.exp(-3 * t), 2, 2.0, 2.0, T=10.0) > 1.0
+        assert levelset_check(Profile(lambda t: np.exp(-3 * t), T=10.0), 2, 2.0, 2.0) > 1.0
 
     def test_richardson_linear_exact(self):
         vals = [1.0 + 2 * w for w in (0.1, 0.05, 0.025)]
